@@ -9,13 +9,22 @@ the same order* — and the paper's consistency constraint (no pair both
 matching and distinct, Section 3.2) is enforced at merge time, before
 any table is materialised.
 
-Per-pair evaluation is a pure function of ``(rows, rules)``: it uses
-``IdentityRule.applies`` / ``DistinctnessRule.applies`` directly rather
-than a :class:`~repro.rules.engine.RuleEngine`, so worker processes need
-pickle nothing stateful.  Rows, rules, and the NULL sentinel all pickle
-faithfully (``NULL`` reduces to its singleton); process workers receive
-the rows and rules once via the pool initializer and are then fed plain
-index batches, keeping per-batch IPC to a few bytes per pair.
+Per-pair evaluation is a pure function of ``(rows, rules)`` and uses
+no :class:`~repro.rules.engine.RuleEngine`, so worker processes need
+pickle nothing stateful.  Identity rules are evaluated pair by pair with
+``IdentityRule.applies``.  Distinctness rules are compiled once per
+``evaluate()`` against the two row lists
+(:func:`~repro.rules.factorised.compile_distinctness`): each row gets
+two rule bitmasks, and a candidate is distinct when the AND of its rows'
+masks is non-zero, its lowest bit naming the first firing rule; only
+residual rules (cross-entity predicates, overridden ``applies``, values
+the index cannot represent) call ``DistinctnessRule.applies`` on the
+candidates their masks select.  Rows, rules, and the NULL sentinel all
+pickle faithfully (``NULL`` reduces to its singleton); process workers
+receive the rows and rules once via the pool initializer, compile the
+rules there (the parent's compilation serves only batches it runs
+itself), and are then fed plain index batches, keeping per-batch IPC
+to a few bytes per pair.
 
 The uniqueness constraint is *reported*, not raised — mirroring the
 pipeline, where ``verify`` surfaces unsound keys as a report the DBA
@@ -52,6 +61,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.retry import RetryPolicy
 from repro.rules.distinctness import DistinctnessRule
+from repro.rules.factorised import DistinctnessMasks, compile_distinctness
 from repro.rules.identity import IdentityRule
 
 try:  # BrokenExecutor covers thread pools too on 3.8+
@@ -81,19 +91,23 @@ def _evaluate_batch(
     r_rows: Sequence[Row],
     s_rows: Sequence[Row],
     identity_rules: Sequence[IdentityRule],
-    distinctness_rules: Sequence[DistinctnessRule],
+    distinctness: DistinctnessMasks,
 ) -> BatchResult:
     """Classify one batch; the shared kernel of every backend.
 
     A pair is *matching* when some identity rule's antecedent is TRUE,
     *distinct* when some distinctness rule is TRUE in either orientation
     (distinctness is symmetric, its rule text is not) — exactly the rule
-    engine's semantics, without its per-call metric accounting.
+    engine's semantics, without its per-call metric accounting.  The
+    distinctness rules come compiled against the row lists, so a
+    candidate costs an AND of its rows' rule masks (plus an ``applies``
+    call per residual rule its masks leave as a candidate).
     """
     matches: List[IndexPair] = []
     distinct: List[IndexPair] = []
     match_rules: List[int] = []
     distinct_rules: List[int] = []
+    first_distinct = distinctness.first
     for i, j in batch:
         r_row = r_rows[i]
         s_row = s_rows[j]
@@ -102,14 +116,10 @@ def _evaluate_batch(
                 matches.append((i, j))
                 match_rules.append(index)
                 break
-        for index, rule in enumerate(distinctness_rules):
-            if (
-                rule.applies(r_row, s_row) is Maybe.TRUE
-                or rule.applies(s_row, r_row) is Maybe.TRUE
-            ):
-                distinct.append((i, j))
-                distinct_rules.append(index)
-                break
+        index = first_distinct(i, j)
+        if index >= 0:
+            distinct.append((i, j))
+            distinct_rules.append(index)
     return matches, distinct, match_rules, distinct_rules
 
 
@@ -119,12 +129,17 @@ def _init_worker(
     identity_rules: Sequence[IdentityRule],
     distinctness_rules: Sequence[DistinctnessRule],
 ) -> None:
-    _WORKER_STATE["args"] = (r_rows, s_rows, identity_rules, distinctness_rules)
+    _WORKER_STATE["args"] = (
+        r_rows,
+        s_rows,
+        identity_rules,
+        compile_distinctness(distinctness_rules, r_rows, s_rows),
+    )
 
 
 def _process_batch(batch: Sequence[IndexPair]) -> BatchResult:
-    r_rows, s_rows, identity_rules, distinctness_rules = _WORKER_STATE["args"]
-    return _evaluate_batch(batch, r_rows, s_rows, identity_rules, distinctness_rules)
+    r_rows, s_rows, identity_rules, distinctness = _WORKER_STATE["args"]
+    return _evaluate_batch(batch, r_rows, s_rows, identity_rules, distinctness)
 
 
 @dataclass
@@ -262,7 +277,7 @@ class ParallelPairExecutor:
         failure leaves the store untouched.
         """
         identity = tuple(identity_rules)
-        distinctness = tuple(distinctness_rules)
+        distinctness = compile_distinctness(distinctness_rules, r_rows, s_rows)
         pairs = list(candidates)
         tracer = self._tracer
         quarantined: List[Tuple[IndexPair, str]] = []
@@ -375,7 +390,7 @@ class ParallelPairExecutor:
                             s_keys[j],
                             r_rows[i],
                             s_rows[j],
-                            rule=distinctness[rule_index].name,
+                            rule=distinctness.rules[rule_index].name,
                         )
 
             if self._retry is not None and self._retry.max_attempts > 1:
@@ -401,14 +416,14 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: DistinctnessMasks,
     ) -> Executor:
         if self.backend == "thread":
             return ThreadPoolExecutor(max_workers=self.workers)
         return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(list(r_rows), list(s_rows), identity, distinctness),
+            initargs=(list(r_rows), list(s_rows), identity, distinctness.rules),
         )
 
     def _run_batches(
@@ -417,7 +432,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: DistinctnessMasks,
     ) -> Tuple[List[BatchResult], List[Tuple[IndexPair, str]], int, int]:
         """Run batches across a pool, recovering every lost batch.
 
@@ -480,7 +495,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: DistinctnessMasks,
     ) -> Tuple[List[int], int]:
         """One pool attempt over *pending*; returns (still pending, crashes).
 
@@ -535,7 +550,7 @@ class ParallelPairExecutor:
         r_rows: Sequence[Row],
         s_rows: Sequence[Row],
         identity: Tuple[IdentityRule, ...],
-        distinctness: Tuple[DistinctnessRule, ...],
+        distinctness: DistinctnessMasks,
         quarantined: List[Tuple[IndexPair, str]],
     ) -> BatchResult:
         """Evaluate *batch* pair by pair, isolating the pairs that raise.

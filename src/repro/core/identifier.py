@@ -46,6 +46,7 @@ from repro.relational.row import Row
 from repro.rules.conversion import ilfd_to_distinctness_rules
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.engine import MatchStatus, RuleEngine
+from repro.rules.factorised import compile_distinctness, first_rule, popcount
 from repro.rules.identity import IdentityRule
 from repro.store.base import MatchStore
 from repro.store.journal import KIND_ASSERT
@@ -478,13 +479,21 @@ class EntityIdentifier:
     def negative_matching_table(self) -> NegativeMatchingTable:
         """NMT_RS: pairs some distinctness rule declares distinct.
 
-        Without a blocker, materialises the full table (O(|R'|·|S'|)
-        rule evaluations); the paper notes real systems would keep it
-        implicit, but the worked examples (Table 4) and the completeness
-        accounting need it.  With a blocker, only candidate pairs are
-        evaluated — exhaustive for :class:`CrossProductBlocker`,
-        restricted to candidates otherwise (the documented trade-off of
-        electing a pruning blocker).
+        Without a blocker, materialises the full table from the rules
+        compiled against R' and S'
+        (:func:`~repro.rules.factorised.compile_distinctness`): literal
+        predicates are evaluated once per distinct attribute value, rows
+        with equal rule masks are grouped, each R group is tested
+        against each S group once, and only firing groups are expanded,
+        in row-major order.  The cost is O(|R'|+|S'|) index work plus
+        O(|NMT|) expansion; only residual rules (cross-entity
+        predicates, overridden ``applies``, values the index cannot
+        represent) are settled pair by pair.  The paper notes real
+        systems would keep the table implicit, but the worked examples
+        (Table 4) and the completeness accounting need it.  With a
+        blocker, only candidate pairs are evaluated — exhaustive for
+        :class:`CrossProductBlocker`, restricted to candidates otherwise
+        (the documented trade-off of electing a pruning blocker).
         """
         if self._negative is not None:
             return self._negative
@@ -515,27 +524,32 @@ class EntityIdentifier:
                     table.add(MatchEntry(r_rows[i], s_rows[j], r_key, s_key))
                 span.set("blocker", self._blocker.name)
             else:
-                # Key projections hoisted: rendered once per row, not once
-                # per firing pair inside the O(|R'|·|S'|) loop.
-                r_entries = [
-                    (r_row, key_values(r_row, self._r_key_attrs))
-                    for r_row in extended_r
-                ]
-                s_entries = [
-                    (s_row, key_values(s_row, self._s_key_attrs))
-                    for s_row in extended_s
-                ]
-                firing = self._rules.firing_distinctness_rules
+                r_rows = list(extended_r)
+                s_rows = list(extended_s)
+                r_row_keys = [key_values(row, self._r_key_attrs) for row in r_rows]
+                s_row_keys = [key_values(row, self._s_key_attrs) for row in s_rows]
+                rules = self._rules.distinctness_rules
+                masks = compile_distinctness(rules, r_rows, s_rows)
                 store = self._store
                 new_entries: List[Tuple[MatchEntry, str]] = []
-                for r_row, r_key in r_entries:
-                    for s_row, s_key in s_entries:
-                        fired = firing(r_row, s_row)
-                        if fired:
-                            entry = MatchEntry(r_row, s_row, r_key, s_key)
-                            table.add(entry)
-                            if store is not None:
-                                new_entries.append((entry, fired[0].name))
+                fired_total = 0
+                for i, j, fired in masks.firing_pairs():
+                    entry = MatchEntry(
+                        r_rows[i], s_rows[j], r_row_keys[i], s_row_keys[j]
+                    )
+                    table.add(entry)
+                    fired_total += popcount(fired)
+                    if store is not None:
+                        new_entries.append((entry, rules[first_rule(fired)].name))
+                if self._tracer.enabled and r_rows and s_rows:
+                    # The totals a pairwise loop over every R'×S' pair
+                    # would count (RuleEngine.firing_distinctness_rules).
+                    metrics = self._tracer.metrics
+                    metrics.inc(
+                        "rules.distinctness_evaluations",
+                        len(r_rows) * len(s_rows) * len(rules),
+                    )
+                    metrics.inc("rules.distinctness_fired", fired_total)
                 if store is not None and new_entries:
                     with store.transaction():
                         for entry, rule_name in new_entries:

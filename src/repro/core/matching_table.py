@@ -200,8 +200,11 @@ class NegativeMatchingTable(_PairTable):
 
     The paper notes the full NMT is usually much larger than the MT (at
     most min(|R|,|S|) matches versus up to |R|·|S| non-matches) and its
-    prototype never materialises it wholly; this class supports both the
-    small explicit tables of the worked examples (Table 4) and lazy use.
+    prototype never materialises it wholly.  Here it is materialised:
+    the exact pipeline fills it from distinctness rules compiled against
+    R' and S' (:func:`~repro.rules.factorised.compile_distinctness`),
+    which costs index work linear in the rows plus one append per entry,
+    not one rule evaluation per pair and rule.
     """
 
     kind = "negative matching table"

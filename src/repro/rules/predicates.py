@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Tuple, Union
 
 from repro.relational.nulls import Maybe, is_null
 from repro.rules.errors import MalformedRuleError
@@ -34,14 +34,7 @@ class Comparator(enum.Enum):
     @property
     def fn(self) -> Callable[[Any, Any], bool]:
         """The Python comparison implementing this operator."""
-        return {
-            Comparator.EQ: operator.eq,
-            Comparator.NE: operator.ne,
-            Comparator.LT: operator.lt,
-            Comparator.GT: operator.gt,
-            Comparator.LE: operator.le,
-            Comparator.GE: operator.ge,
-        }[self]
+        return _OPERATORS[self]
 
     def flipped(self) -> "Comparator":
         """The operator with its operands swapped (a op b ⇔ b op' a)."""
@@ -53,6 +46,16 @@ class Comparator(enum.Enum):
             Comparator.LE: Comparator.GE,
             Comparator.GE: Comparator.LE,
         }[self]
+
+
+_OPERATORS: Dict[Comparator, Callable[[Any, Any], bool]] = {
+    Comparator.EQ: operator.eq,
+    Comparator.NE: operator.ne,
+    Comparator.LT: operator.lt,
+    Comparator.GT: operator.gt,
+    Comparator.LE: operator.le,
+    Comparator.GE: operator.ge,
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -146,7 +149,7 @@ class Predicate:
         if is_null(left) or is_null(right):
             return Maybe.UNKNOWN
         try:
-            return Maybe.from_bool(self.op.fn(left, right))
+            return Maybe.from_bool(_OPERATORS[self.op](left, right))
         except TypeError:
             return Maybe.UNKNOWN
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.correspondence import AttributeCorrespondence
 from repro.core.errors import CoreError
 from repro.core.identifier import EntityIdentifier
+from repro.core.matching_table import key_values
 from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD
 from repro.relational.attribute import string_attribute
@@ -12,6 +13,9 @@ from repro.relational.nulls import NULL, is_null
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.rules.engine import MatchStatus
+from repro.store.journal import KIND_DISTINCTNESS
+from repro.store.memory import MemoryStore
+from repro.workloads import RestaurantWorkloadSpec, restaurant_workload
 
 
 class TestExample2Pipeline:
@@ -127,6 +131,64 @@ class TestExample3Pipeline:
     def test_without_ilfd_distinctness(self, example3):
         identifier = self._identifier(example3, derive_ilfd_distinctness=False)
         assert len(identifier.negative_matching_table()) == 0
+
+    def test_journal_names_the_first_firing_rule(self, example3):
+        # Up to four ILFD duals fire on one pair; the journal names the
+        # first in declaration order, pair by pair in row-major order.
+        store = MemoryStore()
+        identifier = self._identifier(example3, store=store)
+        identifier.negative_matching_table()
+        journal = _distinctness_journal(store)
+        assert [rule for _, _, rule in journal] == [
+            "I5", "I1", "I1", "I1", "I2", "I3", "I1",
+            "I2", "I3", "I1", "I2", "I3", "I3", "I4",
+        ]
+        assert journal == _pairwise_journal(identifier)
+        fired = identifier.rules.firing_distinctness_rules
+        assert max(
+            len(fired(entry.r_row, entry.s_row))
+            for entry in identifier.negative_matching_table()
+        ) == 4
+
+
+def _distinctness_journal(store):
+    return [
+        (entry.r_key, entry.s_key, entry.rule)
+        for entry in store.journal_entries()
+        if entry.kind == KIND_DISTINCTNESS
+    ]
+
+
+def _pairwise_journal(identifier):
+    """(R key, S key, first firing rule) over R'×S', row-major."""
+    extended_r, extended_s = identifier.extended_relations()
+    out = []
+    for r_row in extended_r:
+        for s_row in extended_s:
+            fired = identifier.rules.firing_distinctness_rules(r_row, s_row)
+            if fired:
+                out.append(
+                    (
+                        key_values(r_row, identifier.r_key_attributes),
+                        key_values(s_row, identifier.s_key_attributes),
+                        fired[0].name,
+                    )
+                )
+    return out
+
+
+def test_restaurant_workload_journal_matches_pairwise():
+    workload = restaurant_workload(RestaurantWorkloadSpec(n_entities=30, seed=11))
+    store = MemoryStore()
+    identifier = EntityIdentifier(
+        workload.r, workload.s, workload.extended_key, ilfds=workload.ilfds, store=store
+    )
+    table = identifier.negative_matching_table()
+    expected = _pairwise_journal(identifier)
+    assert [(e.r_key, e.s_key) for e in table] == [(r, s) for r, s, _ in expected]
+    assert _distinctness_journal(store) == expected
+    fired = identifier.rules.firing_distinctness_rules
+    assert any(len(fired(e.r_row, e.s_row)) >= 2 for e in table)
 
 
 class TestUnsoundKeys:

@@ -74,8 +74,17 @@ class TestPipelineSpans:
         counters = tracer.metrics.counters
         assert counters["ilfd.rows_extended"] > 0
         assert counters["ilfd.firings"] > 0
-        assert counters["rules.distinctness_evaluations"] > 0
         assert tracer.metrics.histogram("ilfd.chain_depth").count > 0
+
+    def test_distinctness_counters_count_every_pair(self):
+        # |R'|·|S'|·|rules| = 5·4·8 evaluations, and the rules fired
+        # summed over the 14 NMT pairs, as a pairwise loop counts them.
+        tracer = Tracer()
+        identifier, _ = _example3_identifier(tracer)
+        identifier.run()
+        counters = tracer.metrics.counters
+        assert counters["rules.distinctness_evaluations"] == 160
+        assert counters["rules.distinctness_fired"] == 32
 
     def test_default_tracer_records_nothing(self):
         identifier, _ = _example3_identifier()
