@@ -2351,19 +2351,6 @@ def build_entities_parser() -> argparse.ArgumentParser:
         "entity_resolution_log (default all)",
     )
     build_p.add_argument(
-        "--blocker",
-        choices=sorted(BLOCKERS),
-        help="candidate-pair generation strategy for the pairwise runs "
-        "(default: each pair's identifier picks its own)",
-    )
-    build_p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel workers per pairwise identification run (default 1)",
-    )
-    build_p.add_argument(
         "--batch-size",
         type=int,
         default=0,
@@ -2448,9 +2435,6 @@ def _entities_build(args) -> int:
         from repro.observability import Tracer
 
         tracer = Tracer()
-    blocker_factory = (
-        (lambda: make_blocker(args.blocker)) if args.blocker else None
-    )
     injector = None
     if getattr(args, "inject_faults", None):
         from repro.resilience import FaultInjector, FaultPlan, FaultPlanError
@@ -2466,8 +2450,6 @@ def _entities_build(args) -> int:
             sources,
             _split_key(args.extended_key),
             ilfds=ilfds,
-            blocker_factory=blocker_factory,
-            workers=args.workers,
             tracer=tracer,
         )
         store = SqliteStore(args.store_path, tracer=tracer)

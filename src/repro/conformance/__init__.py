@@ -5,7 +5,8 @@ The subsystem has four layers, one per way the contract can be broken:
 - :mod:`~repro.conformance.oracles` — standalone checkers for soundness,
   completeness w.r.t. the supplied rules, monotonicity under knowledge
   growth, and the uniqueness/consistency constraints on MT_RS/NMT_RS,
-  each returning structured :class:`Violation` reports;
+  each returning structured :class:`Violation` reports, plus the
+  pairwise-composition reference for N-way clusters;
 - :mod:`~repro.conformance.differential` — one workload through the full
   configuration matrix (blockers × executors × stores × resume × fault
   schedules, plus the Prolog prototype), asserting bit-identical
@@ -71,6 +72,7 @@ from repro.conformance.oracles import (
     check_soundness,
     check_uniqueness,
     monotonicity_snapshots,
+    pairwise_composition_clusters,
     run_oracles,
 )
 from repro.conformance.violations import (
@@ -143,6 +145,7 @@ __all__ = [
     "check_soundness",
     "check_uniqueness",
     "monotonicity_snapshots",
+    "pairwise_composition_clusters",
     "run_oracles",
     # violations
     "ConformanceReport",

@@ -113,8 +113,8 @@ class ConfigCell:
         When true, the workload is additionally resolved N-way (R, S,
         plus a deterministic third source sampled from R) through
         :class:`~repro.entities.IdentityGraph`: the graph's clusters
-        must be bit-identical to
-        :class:`~repro.core.multiway.MultiwayIdentifier`'s, every
+        must be bit-identical to the pairwise-composition oracle's
+        (one ``EntityIdentifier`` per source pair + union-find), every
         pairwise projection must equal a fresh
         :class:`EntityIdentifier` run, and the persisted entity build
         must reload, verify, rebuild to the same fingerprint, and
@@ -658,7 +658,8 @@ def _run_entities_cell(
     the ``repro.entities`` subsystem, folding the verdict into
     ``resume_consistent``:
 
-    1. graph clusters ≡ :class:`MultiwayIdentifier` clusters,
+    1. graph clusters ≡ the pairwise-composition oracle
+       (:func:`~repro.conformance.oracles.pairwise_composition_clusters`),
        bit-identically (same fingerprint over keys, members, rows);
     2. every pairwise projection of the graph ≡ a fresh
        :class:`EntityIdentifier` run over that source pair;
@@ -672,7 +673,7 @@ def _run_entities_cell(
     pair run under the cell's own store backend, so the cell also
     participates in the ordinary baseline comparison.
     """
-    from repro.core.multiway import MultiwayIdentifier
+    from repro.conformance.oracles import pairwise_composition_clusters
     from repro.entities import (
         IdentityGraph,
         build_entity_store,
@@ -694,9 +695,8 @@ def _run_entities_cell(
     ilfds = list(workload.ilfds)
 
     graph = IdentityGraph(sources, extended_key, ilfds=ilfds)
-    multiway = MultiwayIdentifier(sources, extended_key, ilfds=ilfds)
     consistent = cluster_fingerprint(graph.clusters()) == cluster_fingerprint(
-        multiway.clusters()
+        pairwise_composition_clusters(sources, extended_key, ilfds=ilfds)
     )
 
     for first, second in graph.pair_names():

@@ -17,9 +17,13 @@ recovery) cannot also hide in the checker:
 - **consistency** (the MT/NMT constraint): no pair appears in both
   tables;
 - **monotonicity** (Section 3.3, Figure 3): under knowledge growth the
-  matching and non-matching sets only expand.
+  matching and non-matching sets only expand;
+- **pairwise composition** (the N-way reference): entity clusters
+  rebuilt from one full pairwise run per source pair closed by
+  union-find, against which the one production N-way construction
+  (grouping on the complete extended key) is checked.
 
-Every oracle returns an :class:`~repro.conformance.violations.OracleReport`
+Every checker returns an :class:`~repro.conformance.violations.OracleReport`
 with witness-carrying :class:`~repro.conformance.violations.Violation`
 records instead of raising, so they are equally usable as test asserts
 and as runtime audits.
@@ -28,17 +32,22 @@ and as runtime audits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import (
     AbstractSet,
+    Callable,
+    Dict,
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
 )
 
+from repro.blocking.base import Blocker
 from repro.core.extended_key import ExtendedKey
 from repro.core.matching_table import (
     KeyValues,
@@ -46,9 +55,11 @@ from repro.core.matching_table import (
     NegativeMatchingTable,
     key_values,
 )
+from repro.core.multiway import EntityCluster
 from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.relational.relation import Relation
+from repro.relational.row import Row
 from repro.rules.conversion import ilfd_to_distinctness_rules
 from repro.rules.distinctness import DistinctnessRule
 from repro.rules.engine import RuleEngine
@@ -68,6 +79,7 @@ __all__ = [
     "check_consistency",
     "check_monotonicity",
     "monotonicity_snapshots",
+    "pairwise_composition_clusters",
     "run_oracles",
 ]
 
@@ -417,6 +429,82 @@ def monotonicity_snapshots(
             )
         )
     return snapshots
+
+
+def pairwise_composition_clusters(
+    sources: Mapping[str, Relation],
+    extended_key: ExtendedKey | Sequence[str],
+    *,
+    ilfds: ILFDSet | Iterable[ILFD] = (),
+    policy: DerivationPolicy = DerivationPolicy.FIRST_MATCH,
+    blocker_factory: Optional[Callable[[], Optional[Blocker]]] = None,
+    workers: int = 1,
+) -> List[EntityCluster]:
+    """N-way entity clusters composed from pairwise identification.
+
+    The reference for :meth:`~repro.entities.IdentityGraph.clusters`,
+    reached the long way round: one full
+    :class:`~repro.core.identifier.EntityIdentifier` per source pair
+    (under a fresh blocker from *blocker_factory*, with *workers*),
+    the matched tuples unioned into connected components, and the
+    components rendered in the production order — members by (source
+    declaration, row), clusters by the string form of the shared
+    extended-key values.  Because a match means identical complete
+    extended-key values, the components are exactly the complete-key
+    groups spanning ≥2 sources, so the two fingerprint equal.
+    """
+    from repro.core.identifier import EntityIdentifier
+
+    if not isinstance(extended_key, ExtendedKey):
+        extended_key = ExtendedKey(list(extended_key))
+    ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
+    key_attrs = list(extended_key.attributes)
+    names = tuple(sources)
+    # Node = (source declaration index, row index): its natural sort
+    # order is the member order.
+    node_of: Dict[Tuple[int, KeyValues], Tuple[int, int]] = {}
+    rows: Dict[Tuple[int, int], Row] = {}
+    parent: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def find(node: Tuple[int, int]) -> Tuple[int, int]:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for (i, first), (j, second) in combinations(enumerate(names), 2):
+        identifier = EntityIdentifier(
+            sources[first],
+            sources[second],
+            extended_key,
+            ilfds=ilfds,
+            policy=policy,
+            blocker=blocker_factory() if blocker_factory else None,
+            workers=workers,
+        )
+        extended_first, extended_second = identifier.extended_relations()
+        for index, relation, attrs in (
+            (i, extended_first, identifier.r_key_attributes),
+            (j, extended_second, identifier.s_key_attributes),
+        ):
+            for position, row in enumerate(relation):
+                node_of[(index, key_values(row, attrs))] = (index, position)
+                rows[(index, position)] = row
+        for entry in identifier.matching_table():
+            parent[find(node_of[(i, entry.r_key)])] = find(node_of[(j, entry.s_key)])
+
+    components: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for node in list(parent):
+        components.setdefault(find(node), []).append(node)
+    clusters = []
+    for members in components.values():
+        member_rows = tuple((names[s], rows[(s, r)]) for s, r in sorted(members))
+        clusters.append(
+            EntityCluster(member_rows[0][1].values_for(key_attrs), member_rows)
+        )
+    clusters.sort(key=lambda cluster: str(cluster.key))
+    return clusters
 
 
 # ----------------------------------------------------------------------

@@ -94,20 +94,20 @@ class ExtendedKey:
         return wanted <= self.as_set()
 
     def check_against(
-        self, r: Relation, s: Relation, *, derivable: Iterable[str] = ()
+        self, *relations: Relation, derivable: Iterable[str] = ()
     ) -> None:
         """Validate the key is usable with the (unified) sources.
 
         Every key attribute must exist in at least one source schema or
         be ILFD-*derivable* (the caller passes the attributes its ILFDs
         can conclude) — an attribute in neither could never be valued
-        for either side and the matching table would always be empty.
+        for any source and the matching table would always be empty.
         """
-        known = set(r.schema.names) | set(s.schema.names) | set(derivable)
+        known = set(derivable).union(*(rel.schema.names for rel in relations))
         orphans = [a for a in self._attributes if a not in known]
         if orphans:
             raise ExtendedKeyError(
-                f"extended key attributes {orphans} appear in neither source "
+                f"extended key attributes {orphans} appear in no source "
                 "relation and no ILFD derives them"
             )
 

@@ -22,7 +22,12 @@ compose.
 
 Pairwise projections of the clusters coincide with
 :class:`~repro.core.identifier.EntityIdentifier` on each source pair
-(property-tested).
+(property-tested).  This is the platform's one N-way construction:
+:class:`~repro.entities.graph.IdentityGraph` delegates its extension,
+clustering and uniqueness check here, and the pairwise-composition
+route (one ``EntityIdentifier`` per source pair, closed by union-find)
+is the conformance oracle
+:func:`~repro.conformance.oracles.pairwise_composition_clusters`.
 """
 
 from __future__ import annotations
@@ -148,8 +153,12 @@ class MultiwayIdentifier:
         self._sources: Dict[str, Relation] = dict(sources)
         self._key = extended_key
         self._ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
-        self._engine = DerivationEngine(self._ilfds, policy=policy)
+        derivable = {a for ilfd in self._ilfds for a in ilfd.consequent_attributes}
+        extended_key.check_against(*self._sources.values(), derivable=derivable)
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
+        self._engine = DerivationEngine(
+            self._ilfds, policy=policy, tracer=self._tracer
+        )
         self._extended: Optional[Dict[str, Relation]] = None
         self._groups: Optional[Dict[Tuple[Any, ...], List[Tuple[str, Row]]]] = None
         if self._tracer.enabled:
@@ -177,7 +186,12 @@ class MultiwayIdentifier:
                 }
         return self._extended
 
-    def _grouped(self) -> Dict[Tuple[Any, ...], List[Tuple[str, Row]]]:
+    def groups(self) -> Dict[Tuple[Any, ...], List[Tuple[str, Row]]]:
+        """Complete K_Ext values → ``(source, row)`` members, computed once.
+
+        Groups in first-seen order, members in (source declaration, row)
+        order; single-source groups included.
+        """
         if self._groups is None:
             key_attrs = list(self._key.attributes)
             groups: Dict[Tuple[Any, ...], List[Tuple[str, Row]]] = defaultdict(list)
@@ -190,7 +204,7 @@ class MultiwayIdentifier:
                             continue
                         groups[values].append((name, row))
                         tuples += 1
-            self._groups = groups
+            self._groups = dict(groups)
             if self._tracer.enabled:
                 self._tracer.metrics.inc("multiway.tuples", tuples)
         return self._groups
@@ -199,7 +213,7 @@ class MultiwayIdentifier:
     def clusters(self) -> List[EntityCluster]:
         """Matched entities: groups spanning at least two sources."""
         out: List[EntityCluster] = []
-        for values, members in sorted(self._grouped().items(), key=lambda kv: str(kv[0])):
+        for values, members in sorted(self.groups().items(), key=lambda kv: str(kv[0])):
             if len({name for name, _ in members}) >= 2:
                 out.append(EntityCluster(values, tuple(members)))
         if self._tracer.enabled:
@@ -212,7 +226,7 @@ class MultiwayIdentifier:
             name: [] for name in self._sources
         }
         with self._tracer.span("multiway.verify"):
-            for values, members in self._grouped().items():
+            for values, members in self.groups().items():
                 per_source: Dict[str, int] = defaultdict(int)
                 for name, _ in members:
                     per_source[name] += 1
@@ -231,8 +245,8 @@ class MultiwayIdentifier:
         for name in (first, second):
             if name not in self._sources:
                 raise CoreError(f"unknown source {name!r}")
-        first_keys = self._source_key_attrs(first)
-        second_keys = self._source_key_attrs(second)
+        first_keys = self.source_key_attributes(first)
+        second_keys = self.source_key_attributes(second)
         pairs = set()
         for cluster in self.clusters():
             lefts = [row for name, row in cluster.members if name == first]
@@ -247,7 +261,8 @@ class MultiwayIdentifier:
                     )
         return frozenset(pairs)
 
-    def _source_key_attrs(self, name: str) -> Tuple[str, ...]:
+    def source_key_attributes(self, name: str) -> Tuple[str, ...]:
+        """*name*'s primary-key attributes, in schema order."""
         schema = self._sources[name].schema
         key = schema.primary_key
         return tuple(n for n in schema.names if n in key)

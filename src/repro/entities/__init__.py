@@ -3,14 +3,14 @@
 The paper's machinery is pairwise (one MT_RS per R,S); real
 integrations have N sources.  This package generalizes the platform:
 
-- :class:`~repro.entities.graph.IdentityGraph` — pairwise
-  identification across all N·(N−1)/2 source pairs (reusing blockers,
-  executors, and the pairwise pipeline), closed transitively by
-  union-find into entity clusters that are **bit-identical** to
-  :class:`~repro.core.multiway.MultiwayIdentifier`'s (the
-  ``entities-graph`` conformance cell proves it), with the generalized
-  uniqueness constraint (≤ 1 tuple per source per cluster) verified via
-  structured reports,
+- :class:`~repro.entities.graph.IdentityGraph` — entity clusters by
+  grouping every ILFD-extended source on its complete extended-key
+  values (delegated to :class:`~repro.core.multiway.MultiwayIdentifier`),
+  **bit-identical** to composing the N·(N−1)/2 pairwise runs by
+  union-find (the ``entities-graph`` conformance cell proves it), with
+  the generalized uniqueness constraint (≤ 1 tuple per source per
+  cluster) verified via structured reports and each pair's full
+  pipeline available on demand,
 - **survivorship** (:mod:`repro.entities.survivorship`) — a pluggable,
   fully attributed first-rule-wins chain (source priority,
   most-complete, longest, newest) deciding every golden value,
@@ -100,8 +100,8 @@ __all__ = [
 
 for _name, _description in (
     ("entities.sources", "sources declared to identity graphs"),
-    ("entities.pairwise_runs", "pairwise identification runs executed by graphs"),
-    ("entities.clusters", "entity clusters produced by transitive closure"),
+    ("entities.pairwise_runs", "on-demand pairwise identification runs by graphs"),
+    ("entities.clusters", "entity clusters produced by identity graphs"),
     ("entities.members", "member tuples across all produced clusters"),
     ("entities.violations", "generalized uniqueness violations detected"),
     ("entities.golden_built", "golden entity records built and persisted"),

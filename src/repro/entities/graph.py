@@ -1,29 +1,28 @@
-"""The identity graph: N-way resolution built from pairwise runs.
+"""The identity graph: N-way resolution over named sources.
 
-:class:`~repro.core.multiway.MultiwayIdentifier` resolves N sources in
-one pass by grouping on complete extended-key values — correct, but a
-single monolithic computation that cannot reuse the pairwise machinery
-(blockers, parallel executors, per-pair soundness) the rest of the
-platform is built on.  :class:`IdentityGraph` takes the composition
-route the paper's transitivity argument licenses:
+A match means *identical, fully non-NULL extended-key values*, and
+equality is transitive, so N-way entities are exactly the groups of
+tuples sharing a complete extended key — no pairwise closure needed.
+:class:`IdentityGraph` is the entity subsystem's face on that one
+construction, which lives in :class:`~repro.core.multiway.MultiwayIdentifier`:
 
-1. run full pairwise identification
-   (:class:`~repro.core.identifier.EntityIdentifier`) over every one of
-   the N·(N−1)/2 source pairs,
-2. union-find the matched pairs into connected components — because a
-   match means *identical, fully non-NULL extended-key values* and
-   equality is transitive, components are exactly the equivalence
-   classes of the multiway matching relation,
-3. render components as :class:`~repro.core.multiway.EntityCluster`
-   values in the same deterministic order ``MultiwayIdentifier`` uses,
-   so the two constructions are **bit-identical** (the ``entities-graph``
-   conformance cell enforces this),
-4. verify the generalized uniqueness constraint — ≤ 1 tuple per source
-   per cluster — with structured per-source violation reports.
+1. every source is ILFD-extended once and grouped on its complete
+   extended-key values; groups spanning ≥2 sources are the
+   :class:`~repro.core.multiway.EntityCluster` values, in the
+   deterministic order ``MultiwayIdentifier`` defines,
+2. the generalized uniqueness constraint — ≤ 1 tuple per source per
+   group — is verified from the same groups, with structured
+   per-source violation reports,
+3. on demand, one source pair's full pairwise pipeline
+   (:class:`~repro.core.identifier.EntityIdentifier`) runs for callers
+   that want its NMT and undetermined counts.
 
-The graph is the substrate golden records (:mod:`repro.entities.golden`)
-and the persisted entity store (:mod:`repro.entities.build`) are made
-from.
+The ``entities-graph`` conformance cell checks the clusters against the
+pairwise-composition oracle
+(:func:`~repro.conformance.oracles.pairwise_composition_clusters`) and
+every projection against a fresh ``EntityIdentifier`` run.  The graph
+is the substrate golden records (:mod:`repro.entities.golden`) and the
+persisted entity store (:mod:`repro.entities.build`) are made from.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -49,14 +49,12 @@ from repro.blocking.base import Blocker
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
 from repro.core.matching_table import KeyValues, key_values
-from repro.core.multiway import EntityCluster
+from repro.core.multiway import EntityCluster, MultiwayIdentifier
 from repro.entities.errors import GraphError
-from repro.ilfd.derivation import DerivationEngine, DerivationPolicy
+from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
-from repro.relational.nulls import is_null
 from repro.relational.relation import Relation
-from repro.relational.row import Row
 from repro.store.codec import encode_row
 
 __all__ = [
@@ -73,8 +71,8 @@ def cluster_fingerprint(clusters: Sequence[EntityCluster]) -> str:
     Hashes the cluster keys and every member's ``(source, canonical row
     encoding)`` in list order, so two cluster lists fingerprint equal
     iff they are bit-identical — the conformance cell's equality test
-    between the graph and ``MultiwayIdentifier``, and between a build
-    and its reload.
+    between the graph and the pairwise-composition oracle, and between
+    a build and its reload.
     """
     material = json.dumps(
         [
@@ -134,45 +132,8 @@ class GraphSoundnessReport:
             )
 
 
-class _UnionFind:
-    """Plain union-find with path compression and union by size."""
-
-    def __init__(self) -> None:
-        self._parent: Dict[Any, Any] = {}
-        self._size: Dict[Any, int] = {}
-
-    def add(self, node: Any) -> None:
-        if node not in self._parent:
-            self._parent[node] = node
-            self._size[node] = 1
-
-    def find(self, node: Any) -> Any:
-        root = node
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[node] != root:
-            self._parent[node], node = root, self._parent[node]
-        return root
-
-    def union(self, left: Any, right: Any) -> None:
-        left, right = self.find(left), self.find(right)
-        if left == right:
-            return
-        if self._size[left] < self._size[right]:
-            left, right = right, left
-        self._parent[right] = left
-        self._size[left] += self._size[right]
-
-    def components(self) -> Dict[Any, List[Any]]:
-        """Root → members, members in insertion order."""
-        out: Dict[Any, List[Any]] = {}
-        for node in self._parent:
-            out.setdefault(self.find(node), []).append(node)
-        return out
-
-
 class IdentityGraph:
-    """N-way entity resolution by pairwise identification + closure.
+    """N-way entity resolution by grouping on the complete extended key.
 
     Parameters
     ----------
@@ -184,14 +145,19 @@ class IdentityGraph:
         As for :class:`~repro.core.identifier.EntityIdentifier`.
     blocker_factory:
         Optional zero-argument callable returning a fresh
-        :class:`~repro.blocking.Blocker` for each pairwise run (a
-        factory, because one blocker instance must not be shared across
-        concurrent runs).  ``None`` keeps the exact default paths.
+        :class:`~repro.blocking.Blocker` for each on-demand pairwise
+        run (:meth:`pair_identifier`; a factory, because one blocker
+        instance must not be shared across concurrent runs).  ``None``
+        keeps the exact default paths.  Clusters, projections and
+        :meth:`verify` do not depend on it.
     workers:
-        Worker count forwarded to every pairwise run.
+        Worker count forwarded to every on-demand pairwise run; like
+        *blocker_factory*, it does not affect clusters.
     tracer:
-        Optional tracer; the graph emits ``entities.*`` spans and
-        metrics and threads the tracer through every pairwise pipeline.
+        Optional tracer; the graph emits ``entities.*`` metrics and
+        threads the tracer through the multiway construction
+        (``multiway.*`` spans, ``ilfd.*`` counters) and every pairwise
+        pipeline.
     """
 
     def __init__(
@@ -207,20 +173,20 @@ class IdentityGraph:
     ) -> None:
         if len(sources) < 2:
             raise GraphError("an identity graph needs at least two sources")
-        if not isinstance(extended_key, ExtendedKey):
-            extended_key = ExtendedKey(list(extended_key))
         self._sources: Dict[str, Relation] = dict(sources)
         self._names: Tuple[str, ...] = tuple(self._sources)
-        self._key = extended_key
         self._ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
         self._policy = policy
         self._blocker_factory = blocker_factory
         self._workers = workers
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
-        self._engine = DerivationEngine(
-            self._ilfds, policy=policy, tracer=self._tracer
+        self._multiway = MultiwayIdentifier(
+            self._sources,
+            extended_key,
+            ilfds=self._ilfds,
+            policy=policy,
+            tracer=self._tracer,
         )
-        self._extended: Optional[Dict[str, Relation]] = None
         self._identifiers: Dict[Tuple[str, str], EntityIdentifier] = {}
         self._results: Dict[Tuple[str, str], IdentificationResult] = {}
         self._clusters: Optional[List[EntityCluster]] = None
@@ -236,7 +202,7 @@ class IdentityGraph:
     @property
     def extended_key(self) -> ExtendedKey:
         """The extended key in use."""
-        return self._key
+        return self._multiway.extended_key
 
     @property
     def sources(self) -> Mapping[str, Relation]:
@@ -246,9 +212,7 @@ class IdentityGraph:
     def source_key_attributes(self, name: str) -> Tuple[str, ...]:
         """*name*'s primary-key attributes, in schema order."""
         self._check_source(name)
-        schema = self._sources[name].schema
-        key = schema.primary_key
-        return tuple(n for n in schema.names if n in key)
+        return self._multiway.source_key_attributes(name)
 
     def _check_source(self, name: str) -> None:
         if name not in self._sources:
@@ -256,30 +220,89 @@ class IdentityGraph:
                 f"unknown source {name!r}; expected one of {self._names}"
             )
 
+    def _check_pair(self, first: str, second: str) -> None:
+        self._check_source(first)
+        self._check_source(second)
+        if first == second:
+            raise GraphError(f"a source pair needs two distinct sources, got {first!r}")
+
     def extended(self) -> Dict[str, Relation]:
         """Every source extended with derived K_Ext values (computed once)."""
-        if self._extended is None:
-            targets = list(self._key.attributes)
-            with self._tracer.span("entities.extend", sources=len(self._sources)):
-                self._extended = {
-                    name: self._engine.extend_relation(relation, targets)
-                    for name, relation in self._sources.items()
-                }
-        return self._extended
+        return self._multiway.extended()
 
     # ------------------------------------------------------------------
-    # Pairwise layer
+    # Entity layer
+    # ------------------------------------------------------------------
+    def clusters(self) -> List[EntityCluster]:
+        """Entity clusters: complete-K_Ext groups spanning ≥2 sources.
+
+        Exactly :meth:`MultiwayIdentifier.clusters` — sorted by the
+        string form of the shared extended-key values, members in
+        (source declaration, row) order.
+        """
+        if self._clusters is None:
+            self._clusters = self._multiway.clusters()
+            if self._tracer.enabled:
+                self._tracer.metrics.inc("entities.clusters", len(self._clusters))
+                self._tracer.metrics.inc(
+                    "entities.members", sum(len(c) for c in self._clusters)
+                )
+        return self._clusters
+
+    def pairwise_pairs(
+        self, first: str, second: str
+    ) -> FrozenSet[Tuple[KeyValues, KeyValues]]:
+        """The (first, second) matches as EntityIdentifier-format pairs.
+
+        The pairwise *projection* of the clusters — equal to what a
+        fresh ``EntityIdentifier`` run over the two sources produces.
+        """
+        self._check_pair(first, second)
+        return self._multiway.pairwise_pairs(first, second)
+
+    def verify(self) -> GraphSoundnessReport:
+        """The generalized uniqueness constraint, structured per source.
+
+        Read off the complete-K_Ext groups (not just the clusters), so a
+        source modelling an entity twice is reported even when no other
+        source shares the key — the same semantics as
+        ``MultiwayIdentifier.verify``.  Violations are listed per source
+        in declaration order, each source's in group first-seen order.
+        """
+        key_attrs = {name: self.source_key_attributes(name) for name in self._names}
+        found: Dict[str, List[UniquenessViolation]] = {n: [] for n in self._names}
+        with self._tracer.span("entities.verify"):
+            for values, members in self._multiway.groups().items():
+                # Members are in source declaration order, so each
+                # source's tuples are contiguous.
+                for name, rows in groupby(members, key=itemgetter(0)):
+                    keys = tuple(key_values(row, key_attrs[name]) for _, row in rows)
+                    if len(keys) > 1:
+                        found[name].append(UniquenessViolation(name, values, keys))
+        violations = tuple(v for name in self._names for v in found[name])
+        if self._tracer.enabled and violations:
+            self._tracer.metrics.inc("entities.violations", len(violations))
+        return GraphSoundnessReport(violations)
+
+    def fingerprint(self) -> str:
+        """Canonical fingerprint of this graph's clusters."""
+        return cluster_fingerprint(self.clusters())
+
+    # ------------------------------------------------------------------
+    # Pairwise layer (on demand)
     # ------------------------------------------------------------------
     def pair_names(self) -> List[Tuple[str, str]]:
         """All source pairs, in declaration order."""
         return list(combinations(self._names, 2))
 
     def pair_identifier(self, first: str, second: str) -> EntityIdentifier:
-        """The (cached) pairwise pipeline for one source pair."""
-        self._check_source(first)
-        self._check_source(second)
-        if first == second:
-            raise GraphError(f"a source pair needs two distinct sources, got {first!r}")
+        """The (cached) pairwise pipeline for one source pair.
+
+        Only callers that want a pair's NMT and undetermined counts need
+        it; the graph's clusters never run it.  Built with the graph's
+        *blocker_factory* and *workers*.
+        """
+        self._check_pair(first, second)
         if (second, first) in self._identifiers:
             first, second = second, first
         pair = (first, second)
@@ -288,7 +311,7 @@ class IdentityGraph:
             self._identifiers[pair] = EntityIdentifier(
                 self._sources[first],
                 self._sources[second],
-                self._key,
+                self.extended_key,
                 ilfds=self._ilfds,
                 policy=self._policy,
                 tracer=self._tracer,
@@ -309,120 +332,3 @@ class IdentityGraph:
             if self._tracer.enabled:
                 self._tracer.metrics.inc("entities.pairwise_runs")
         return self._results[pair]
-
-    def pairwise_pairs(
-        self, first: str, second: str
-    ) -> FrozenSet[Tuple[KeyValues, KeyValues]]:
-        """The (first, second) matches as EntityIdentifier-format pairs.
-
-        The pairwise *projection* of the graph — by construction equal
-        to what a fresh ``EntityIdentifier`` run over the two sources
-        produces, and to ``MultiwayIdentifier.pairwise_pairs``.
-        """
-        result = self.pair_result(first, second)
-        return frozenset(
-            (entry.r_key, entry.s_key) for entry in result.matching
-        )
-
-    # ------------------------------------------------------------------
-    # Closure layer
-    # ------------------------------------------------------------------
-    def clusters(self) -> List[EntityCluster]:
-        """Entity clusters: transitive closure of all pairwise matches.
-
-        Returned in the same deterministic order as
-        :meth:`MultiwayIdentifier.clusters` — sorted by the string form
-        of the shared extended-key values, members in (source
-        declaration, row) order — so the two are comparable entry by
-        entry.
-        """
-        if self._clusters is not None:
-            return self._clusters
-
-        extended = self.extended()
-        key_attrs = list(self._key.attributes)
-        # Node = (source declaration index, row index): cheap, hashable,
-        # and its natural sort order IS the deterministic member order.
-        uf = _UnionFind()
-        index_of: Dict[Tuple[str, KeyValues], Tuple[int, int]] = {}
-        rows: Dict[Tuple[int, int], Row] = {}
-        for s_idx, name in enumerate(self._names):
-            s_key_attrs = self.source_key_attributes(name)
-            for r_idx, row in enumerate(extended[name]):
-                values = row.values_for(key_attrs)
-                if any(is_null(v) for v in values):
-                    continue
-                node = (s_idx, r_idx)
-                uf.add(node)
-                rows[node] = row
-                index_of[(name, key_values(row, s_key_attrs))] = node
-
-        with self._tracer.span("entities.closure", pairs=len(self.pair_names())):
-            for first, second in self.pair_names():
-                for r_key, s_key in self.pairwise_pairs(first, second):
-                    left = index_of.get((first, r_key))
-                    right = index_of.get((second, s_key))
-                    if left is None or right is None:
-                        # A matched tuple the extended relations do not
-                        # carry would mean the pairwise run and the graph
-                        # disagree about the sources — never expected.
-                        raise GraphError(
-                            f"match ({first}:{r_key!r}, {second}:{s_key!r}) "
-                            "references a tuple with no graph node"
-                        )
-                    uf.union(left, right)
-
-            clusters: List[EntityCluster] = []
-            for members in uf.components().values():
-                ordered = sorted(members)
-                if len({s_idx for s_idx, _ in ordered}) < 2:
-                    continue  # single-source groups are not matched entities
-                member_rows = tuple(
-                    (self._names[s_idx], rows[(s_idx, r_idx)])
-                    for s_idx, r_idx in ordered
-                )
-                key = member_rows[0][1].values_for(key_attrs)
-                clusters.append(EntityCluster(key, member_rows))
-            clusters.sort(key=lambda cluster: str(cluster.key))
-
-        self._clusters = clusters
-        if self._tracer.enabled:
-            self._tracer.metrics.inc("entities.clusters", len(clusters))
-            self._tracer.metrics.inc(
-                "entities.members", sum(len(c) for c in clusters)
-            )
-        return clusters
-
-    def verify(self) -> GraphSoundnessReport:
-        """The generalized uniqueness constraint, structured per source.
-
-        Checked over the extended sources directly (not just the
-        clusters), so a source modelling an entity twice is reported
-        even when no other source shares the key — the same semantics
-        as ``MultiwayIdentifier.verify``.
-        """
-        key_attrs = list(self._key.attributes)
-        violations: List[UniquenessViolation] = []
-        with self._tracer.span("entities.verify"):
-            for name in self._names:
-                s_key_attrs = self.source_key_attributes(name)
-                groups: Dict[Tuple[Any, ...], List[KeyValues]] = {}
-                for row in self.extended()[name]:
-                    values = row.values_for(key_attrs)
-                    if any(is_null(v) for v in values):
-                        continue
-                    groups.setdefault(values, []).append(
-                        key_values(row, s_key_attrs)
-                    )
-                for values, members in groups.items():
-                    if len(members) > 1:
-                        violations.append(
-                            UniquenessViolation(name, values, tuple(members))
-                        )
-        if self._tracer.enabled and violations:
-            self._tracer.metrics.inc("entities.violations", len(violations))
-        return GraphSoundnessReport(tuple(violations))
-
-    def fingerprint(self) -> str:
-        """Canonical fingerprint of this graph's clusters."""
-        return cluster_fingerprint(self.clusters())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import CoreError
+from repro.core.errors import CoreError, ExtendedKeyError
 from repro.core.identifier import EntityIdentifier
 from repro.core.multiway import MultiwayIdentifier
 from repro.relational.attribute import string_attribute
@@ -89,6 +89,27 @@ class TestClusters:
     def test_needs_two_sources(self, example3):
         with pytest.raises(CoreError):
             MultiwayIdentifier({"R": example3.r}, example3.extended_key)
+
+    def test_key_attribute_in_no_source_rejected(self, three_sources):
+        with pytest.raises(ExtendedKeyError):
+            MultiwayIdentifier(three_sources, ["name", "zz"])
+
+    def test_extension_traced_once_per_source_row(self, three_sources, example3):
+        from repro.observability import Tracer
+
+        tracer = Tracer()
+        multiway = MultiwayIdentifier(
+            three_sources,
+            example3.extended_key,
+            ilfds=list(example3.ilfds),
+            tracer=tracer,
+        )
+        multiway.clusters()
+        multiway.verify()
+        assert tracer.metrics.counter("ilfd.rows_extended") == sum(
+            len(relation) for relation in three_sources.values()
+        )
+        assert tracer.metrics.counter("ilfd.firings") > 0
 
 
 class TestPairwiseConsistency:

@@ -1,4 +1,4 @@
-"""IdentityGraph: pairwise runs + union-find closure ≡ MultiwayIdentifier."""
+"""IdentityGraph: complete-key clusters ≡ MultiwayIdentifier ≡ pairwise runs."""
 
 import pytest
 
@@ -8,9 +8,11 @@ from repro.core.multiway import MultiwayIdentifier
 from repro.entities import (
     GraphError,
     IdentityGraph,
+    build_entity_store,
     cluster_fingerprint,
 )
 from repro.observability import Tracer
+from repro.store import MemoryStore
 
 from tests.entities.conftest import rel
 
@@ -140,7 +142,7 @@ class TestSoundness:
 
 
 class TestObservability:
-    def test_metrics_emitted(self, three_sources, example3):
+    def _traced(self, three_sources, example3):
         tracer = Tracer()
         graph = IdentityGraph(
             three_sources,
@@ -148,22 +150,43 @@ class TestObservability:
             ilfds=list(example3.ilfds),
             tracer=tracer,
         )
+        return graph, tracer
+
+    def test_metrics_emitted(self, three_sources, example3):
+        graph, tracer = self._traced(three_sources, example3)
         clusters = graph.clusters()
+        build_entity_store(graph, MemoryStore())
         metrics = tracer.metrics
         assert metrics.counter("entities.sources") == 3
-        assert metrics.counter("entities.pairwise_runs") == 3
         assert metrics.counter("entities.clusters") == len(clusters)
         assert metrics.counter("entities.members") == sum(
             len(c) for c in clusters
         )
+        # No pairwise pipeline; every source extended exactly once.
+        assert metrics.counter("entities.pairwise_runs") == 0
+        assert metrics.counter("pipeline.pairs") == 0
+        assert metrics.counter("ilfd.rows_extended") == sum(
+            len(relation) for relation in three_sources.values()
+        )
 
     def test_spans_cover_the_phases(self, three_sources, example3):
-        tracer = Tracer()
-        IdentityGraph(
-            three_sources,
-            example3.extended_key,
-            ilfds=list(example3.ilfds),
-            tracer=tracer,
-        ).clusters()
-        names = {span.name for span in tracer.spans()}
-        assert {"entities.extend", "entities.pairwise", "entities.closure"} <= names
+        graph, tracer = self._traced(three_sources, example3)
+        graph.clusters()
+        graph.verify()
+        build_entity_store(graph, MemoryStore())
+        names = [span.name for span in tracer.spans()]
+        assert names.count("multiway.extend") == 1
+        assert names.count("multiway.cluster") == 1
+        assert "entities.verify" in names
+        assert "entities.pairwise" not in names
+        assert "identify.run" not in names
+
+    def test_pair_result_runs_one_pipeline_on_demand(self, three_sources, example3):
+        graph, tracer = self._traced(three_sources, example3)
+        graph.clusters()
+        first = graph.pair_result("R", "S")
+        assert graph.pair_result("S", "R") is first
+        names = [span.name for span in tracer.spans()]
+        assert names.count("entities.pairwise") == 1
+        assert names.count("identify.run") == 1
+        assert tracer.metrics.counter("entities.pairwise_runs") == 1

@@ -5,14 +5,20 @@ For any seeded universe split into three overlapping sources:
 - every pairwise projection of the multiway clusters equals the
   corresponding two-way EntityIdentifier run,
 - every pairwise projection is sound against the split's ground truth,
-- cluster membership is transitive by construction.
+- cluster membership is transitive by construction,
+- the identity graph's clusters equal the pairwise-composition oracle's,
+  unblocked and under the hash blocker, also when some extended-key
+  values stay NULL.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blocking import make_blocker
+from repro.conformance import pairwise_composition_clusters
 from repro.core.identifier import EntityIdentifier
 from repro.core.multiway import MultiwayIdentifier
+from repro.entities import IdentityGraph, cluster_fingerprint
 from repro.workloads import SideSpec, split_universe_many
 from repro.workloads.restaurants import RestaurantWorkloadSpec, _generate_universe
 
@@ -23,12 +29,24 @@ SIDES = [
 ]
 
 
-def _build(seed):
+# A and C both lack speciality: where no ILFD derives it, their tuples
+# for one entity share a NULL in the same key position and must not match.
+SHARED_GAP_SIDES = [
+    SideSpec("A", ("name", "cuisine", "street"), ("name", "cuisine"), 0.7),
+    SideSpec("B", ("name", "speciality", "county"), ("name", "speciality"), 0.7),
+    SideSpec("C", ("name", "cuisine", "street"), ("name", "street"), 0.7),
+]
+
+
+def _build(seed, derivable_fraction=1.0, sides=SIDES):
     spec = RestaurantWorkloadSpec(
-        n_entities=15, name_pool=25, derivable_fraction=1.0, seed=seed
+        n_entities=15,
+        name_pool=25,
+        derivable_fraction=derivable_fraction,
+        seed=seed,
     )
     universe, ilfds = _generate_universe(spec)
-    relations, truth = split_universe_many(universe, SIDES, seed=seed)
+    relations, truth = split_universe_many(universe, sides, seed=seed)
     return relations, truth, ilfds
 
 
@@ -78,3 +96,23 @@ def test_cluster_transitivity(seed):
     for b_key, c_key in bc:
         for a_key in b_to_a.get(b_key, ()):
             assert (a_key, c_key) in ac
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=3_000),
+    # Below 1, some speciality values stay NULL; above 0, some ILFD
+    # derives speciality, so the A–C pipeline accepts the key.
+    derivable_fraction=st.sampled_from([1.0, 0.6]),
+    sides=st.sampled_from([SIDES, SHARED_GAP_SIDES]),
+)
+def test_graph_clusters_equal_pairwise_composition(seed, derivable_fraction, sides):
+    relations, _, ilfds = _build(seed, derivable_fraction, sides)
+    key = ("name", "cuisine", "speciality")
+    graph = IdentityGraph(relations, key, ilfds=ilfds)
+    unblocked = pairwise_composition_clusters(relations, key, ilfds=ilfds)
+    blocked = pairwise_composition_clusters(
+        relations, key, ilfds=ilfds, blocker_factory=lambda: make_blocker("hash")
+    )
+    assert graph.fingerprint() == cluster_fingerprint(unblocked)
+    assert graph.fingerprint() == cluster_fingerprint(blocked)
