@@ -436,22 +436,22 @@ def pairwise_composition_clusters(
     extended_key: ExtendedKey | Sequence[str],
     *,
     ilfds: ILFDSet | Iterable[ILFD] = (),
-    policy: DerivationPolicy = DerivationPolicy.FIRST_MATCH,
     blocker_factory: Optional[Callable[[], Optional[Blocker]]] = None,
-    workers: int = 1,
 ) -> List[EntityCluster]:
     """N-way entity clusters composed from pairwise identification.
 
     The reference for :meth:`~repro.entities.IdentityGraph.clusters`,
     reached the long way round: one full
-    :class:`~repro.core.identifier.EntityIdentifier` per source pair
-    (under a fresh blocker from *blocker_factory*, with *workers*),
-    the matched tuples unioned into connected components, and the
-    components rendered in the production order — members by (source
-    declaration, row), clusters by the string form of the shared
-    extended-key values.  Because a match means identical complete
-    extended-key values, the components are exactly the complete-key
-    groups spanning ≥2 sources, so the two fingerprint equal.
+    :class:`~repro.core.identifier.EntityIdentifier` run per source pair
+    (under a fresh blocker from *blocker_factory*), the matched tuples
+    unioned into connected components, and the components rendered in
+    the production order — members by (source declaration, row),
+    clusters by the string form of the shared extended-key values.
+    Because a match means identical complete extended-key values, the
+    components are exactly the complete-key groups spanning ≥2 sources,
+    so the two fingerprint equal.  Each run enforces MT ∩ NMT = ∅, so
+    this raises :class:`~repro.core.errors.ConsistencyError` on the same
+    inputs the graph does.
     """
     from repro.core.identifier import EntityIdentifier
 
@@ -479,9 +479,7 @@ def pairwise_composition_clusters(
             sources[second],
             extended_key,
             ilfds=ilfds,
-            policy=policy,
             blocker=blocker_factory() if blocker_factory else None,
-            workers=workers,
         )
         extended_first, extended_second = identifier.extended_relations()
         for index, relation, attrs in (
@@ -491,7 +489,7 @@ def pairwise_composition_clusters(
             for position, row in enumerate(relation):
                 node_of[(index, key_values(row, attrs))] = (index, position)
                 rows[(index, position)] = row
-        for entry in identifier.matching_table():
+        for entry in identifier.run().matching:
             parent[find(node_of[(i, entry.r_key)])] = find(node_of[(j, entry.s_key)])
 
     components: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}

@@ -22,17 +22,14 @@ compose.
 
 Pairwise projections of the clusters coincide with
 :class:`~repro.core.identifier.EntityIdentifier` on each source pair
-(property-tested).  This is the platform's one N-way construction:
-:class:`~repro.entities.graph.IdentityGraph` delegates its extension,
-clustering and uniqueness check here, and the pairwise-composition
-route (one ``EntityIdentifier`` per source pair, closed by union-find)
-is the conformance oracle
-:func:`~repro.conformance.oracles.pairwise_composition_clusters`.
+(property-tested).  This is the one N-way construction
+(:class:`~repro.entities.graph.IdentityGraph` delegates here); pairwise
+runs closed by union-find are only the conformance oracle.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -227,10 +224,7 @@ class MultiwayIdentifier:
         }
         with self._tracer.span("multiway.verify"):
             for values, members in self.groups().items():
-                per_source: Dict[str, int] = defaultdict(int)
-                for name, _ in members:
-                    per_source[name] += 1
-                for name, count in per_source.items():
+                for name, count in Counter(name for name, _ in members).items():
                     if count > 1:
                         violations[name].append(values)
         total = sum(len(v) for v in violations.values())
@@ -247,19 +241,12 @@ class MultiwayIdentifier:
                 raise CoreError(f"unknown source {name!r}")
         first_keys = self.source_key_attributes(first)
         second_keys = self.source_key_attributes(second)
-        pairs = set()
-        for cluster in self.clusters():
-            lefts = [row for name, row in cluster.members if name == first]
-            rights = [row for name, row in cluster.members if name == second]
-            for left in lefts:
-                for right in rights:
-                    pairs.add(
-                        (
-                            key_values(left, first_keys),
-                            key_values(right, second_keys),
-                        )
-                    )
-        return frozenset(pairs)
+        return frozenset(
+            (key_values(left, first_keys), key_values(right, second_keys))
+            for cluster in self.clusters()
+            for name, left in cluster.members if name == first
+            for other, right in cluster.members if other == second
+        )
 
     def source_key_attributes(self, name: str) -> Tuple[str, ...]:
         """*name*'s primary-key attributes, in schema order."""

@@ -2,27 +2,17 @@
 
 A match means *identical, fully non-NULL extended-key values*, and
 equality is transitive, so N-way entities are exactly the groups of
-tuples sharing a complete extended key — no pairwise closure needed.
-:class:`IdentityGraph` is the entity subsystem's face on that one
-construction, which lives in :class:`~repro.core.multiway.MultiwayIdentifier`:
-
-1. every source is ILFD-extended once and grouped on its complete
-   extended-key values; groups spanning ≥2 sources are the
-   :class:`~repro.core.multiway.EntityCluster` values, in the
-   deterministic order ``MultiwayIdentifier`` defines,
-2. the generalized uniqueness constraint — ≤ 1 tuple per source per
-   group — is verified from the same groups, with structured
-   per-source violation reports,
-3. on demand, one source pair's full pairwise pipeline
-   (:class:`~repro.core.identifier.EntityIdentifier`) runs for callers
-   that want its NMT and undetermined counts.
-
-The ``entities-graph`` conformance cell checks the clusters against the
-pairwise-composition oracle
-(:func:`~repro.conformance.oracles.pairwise_composition_clusters`) and
-every projection against a fresh ``EntityIdentifier`` run.  The graph
-is the substrate golden records (:mod:`repro.entities.golden`) and the
-persisted entity store (:mod:`repro.entities.build`) are made from.
+tuples sharing a complete extended key.  :class:`IdentityGraph` is the
+entity subsystem's face on that one construction,
+:class:`~repro.core.multiway.MultiwayIdentifier` (each source
+ILFD-extended once, then grouped): it adds the consistency constraint
+of every pairwise run (MT ∩ NMT = ∅), per-source uniqueness reports,
+and each source pair's full :class:`~repro.core.identifier.EntityIdentifier`
+pipeline on demand.  The ``entities-graph`` conformance cell checks the
+clusters against the pairwise-composition oracle
+(:func:`~repro.conformance.oracles.pairwise_composition_clusters`).
+Golden records (:mod:`repro.entities.golden`) and the persisted entity
+store (:mod:`repro.entities.build`) are made from the graph.
 """
 
 from __future__ import annotations
@@ -30,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import combinations
 from typing import (
     Any,
     Callable,
@@ -46,6 +35,7 @@ from typing import (
 )
 
 from repro.blocking.base import Blocker
+from repro.core.errors import ConsistencyError
 from repro.core.extended_key import ExtendedKey
 from repro.core.identifier import EntityIdentifier, IdentificationResult
 from repro.core.matching_table import KeyValues, key_values
@@ -55,6 +45,8 @@ from repro.ilfd.derivation import DerivationPolicy
 from repro.ilfd.ilfd import ILFD, ILFDSet
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.relational.relation import Relation
+from repro.rules.conversion import ilfd_to_distinctness_rules
+from repro.rules.factorised import compile_distinctness
 from repro.store.codec import encode_row
 
 __all__ = [
@@ -143,21 +135,14 @@ class IdentityGraph:
         priority used for cluster member order and survivorship.
     extended_key / ilfds / policy:
         As for :class:`~repro.core.identifier.EntityIdentifier`.
-    blocker_factory:
-        Optional zero-argument callable returning a fresh
-        :class:`~repro.blocking.Blocker` for each on-demand pairwise
-        run (:meth:`pair_identifier`; a factory, because one blocker
-        instance must not be shared across concurrent runs).  ``None``
-        keeps the exact default paths.  Clusters, projections and
-        :meth:`verify` do not depend on it.
-    workers:
-        Worker count forwarded to every on-demand pairwise run; like
-        *blocker_factory*, it does not affect clusters.
+    blocker_factory / workers:
+        A zero-argument callable returning a fresh
+        :class:`~repro.blocking.Blocker` (one instance must not be shared
+        across runs), and a worker count, for the on-demand pairwise runs
+        of :meth:`pair_identifier` only; clusters never depend on them.
     tracer:
-        Optional tracer; the graph emits ``entities.*`` metrics and
-        threads the tracer through the multiway construction
-        (``multiway.*`` spans, ``ilfd.*`` counters) and every pairwise
-        pipeline.
+        Optional tracer, threaded through the multiway construction and
+        every pairwise pipeline; the graph adds ``entities.*`` metrics.
     """
 
     def __init__(
@@ -188,7 +173,7 @@ class IdentityGraph:
             tracer=self._tracer,
         )
         self._identifiers: Dict[Tuple[str, str], EntityIdentifier] = {}
-        self._results: Dict[Tuple[str, str], IdentificationResult] = {}
+        self._results: Dict[EntityIdentifier, IdentificationResult] = {}
         self._clusters: Optional[List[EntityCluster]] = None
         if self._tracer.enabled:
             self._tracer.metrics.inc("entities.sources", len(self._sources))
@@ -230,24 +215,50 @@ class IdentityGraph:
         """Every source extended with derived K_Ext values (computed once)."""
         return self._multiway.extended()
 
-    # ------------------------------------------------------------------
-    # Entity layer
-    # ------------------------------------------------------------------
     def clusters(self) -> List[EntityCluster]:
-        """Entity clusters: complete-K_Ext groups spanning ≥2 sources.
+        """Exactly :meth:`MultiwayIdentifier.clusters`, checked consistent.
 
-        Exactly :meth:`MultiwayIdentifier.clusters` — sorted by the
-        string form of the shared extended-key values, members in
-        (source declaration, row) order.
+        Raises :class:`~repro.core.errors.ConsistencyError` where a
+        pairwise run would (see :meth:`_check_consistency`).
         """
         if self._clusters is None:
-            self._clusters = self._multiway.clusters()
+            clusters = self._multiway.clusters()
+            self._check_consistency(clusters)
+            self._clusters = clusters
             if self._tracer.enabled:
-                self._tracer.metrics.inc("entities.clusters", len(self._clusters))
+                self._tracer.metrics.inc("entities.clusters", len(clusters))
                 self._tracer.metrics.inc(
-                    "entities.members", sum(len(c) for c in self._clusters)
+                    "entities.members", sum(len(c) for c in clusters)
                 )
         return self._clusters
+
+    def _check_consistency(self, clusters: Sequence[EntityCluster]) -> None:
+        """Raise if a rule declares two cross-source cluster members distinct.
+
+        Those pairs are exactly the pairwise matches, so this is every
+        pairwise run's MT ∩ NMT = ∅, with the ILFDs' Proposition-1
+        distinctness rules compiled once over the clustered tuples.
+        """
+        rules = [r for ilfd in self._ilfds for r in ilfd_to_distinctness_rules(ilfd)]
+        rows = [row for cluster in clusters for _, row in cluster.members]
+        masks = compile_distinctness(rules, rows, rows)
+        overlap, start = [], 0
+        for cluster in clusters:
+            members = cluster.members
+            overlap += [
+                (members[i], members[j])
+                for i, j in combinations(range(len(members)), 2)
+                if members[i][0] != members[j][0] and masks.fired(start + i, start + j)
+            ]
+            start += len(members)
+        if overlap:
+            (first, left), (second, right) = overlap[0]
+            raise ConsistencyError(
+                f"{len(overlap)} pair(s) appear in both the matching and the "
+                f"negative matching tables, e.g. "
+                f"({first}: {key_values(left, self.source_key_attributes(first))!r}, "
+                f"{second}: {key_values(right, self.source_key_attributes(second))!r})"
+            )
 
     def pairwise_pairs(
         self, first: str, second: str
@@ -263,23 +274,21 @@ class IdentityGraph:
     def verify(self) -> GraphSoundnessReport:
         """The generalized uniqueness constraint, structured per source.
 
-        Read off the complete-K_Ext groups (not just the clusters), so a
-        source modelling an entity twice is reported even when no other
-        source shares the key — the same semantics as
-        ``MultiwayIdentifier.verify``.  Violations are listed per source
-        in declaration order, each source's in group first-seen order.
+        :meth:`MultiwayIdentifier.verify` finds the duplicated complete
+        K_Ext values (in every group, so a source modelling an entity
+        twice is reported even when no other source shares the key);
+        this names each one's tuples, in the same order.
         """
-        key_attrs = {name: self.source_key_attributes(name) for name in self._names}
-        found: Dict[str, List[UniquenessViolation]] = {n: [] for n in self._names}
         with self._tracer.span("entities.verify"):
-            for values, members in self._multiway.groups().items():
-                # Members are in source declaration order, so each
-                # source's tuples are contiguous.
-                for name, rows in groupby(members, key=itemgetter(0)):
-                    keys = tuple(key_values(row, key_attrs[name]) for _, row in rows)
-                    if len(keys) > 1:
-                        found[name].append(UniquenessViolation(name, values, keys))
-        violations = tuple(v for name in self._names for v in found[name])
+            groups = self._multiway.groups()
+            violations = tuple(
+                UniquenessViolation(name, values, tuple(
+                    key_values(row, self.source_key_attributes(name))
+                    for source, row in groups[values] if source == name
+                ))
+                for name, duplicated in self._multiway.verify().violations.items()
+                for values in duplicated
+            )
         if self._tracer.enabled and violations:
             self._tracer.metrics.inc("entities.violations", len(violations))
         return GraphSoundnessReport(violations)
@@ -298,9 +307,8 @@ class IdentityGraph:
     def pair_identifier(self, first: str, second: str) -> EntityIdentifier:
         """The (cached) pairwise pipeline for one source pair.
 
-        Only callers that want a pair's NMT and undetermined counts need
-        it; the graph's clusters never run it.  Built with the graph's
-        *blocker_factory* and *workers*.
+        Only callers wanting a pair's NMT and undetermined counts need it;
+        clusters never run it.  Uses *blocker_factory* and *workers*.
         """
         self._check_pair(first, second)
         if (second, first) in self._identifiers:
@@ -323,12 +331,9 @@ class IdentityGraph:
     def pair_result(self, first: str, second: str) -> IdentificationResult:
         """The (cached) pairwise identification result for one pair."""
         identifier = self.pair_identifier(first, second)
-        if (second, first) in self._results:
-            first, second = second, first
-        pair = (first, second)
-        if pair not in self._results:
+        if identifier not in self._results:
             with self._tracer.span("entities.pairwise", first=first, second=second):
-                self._results[pair] = identifier.run()
+                self._results[identifier] = identifier.run()
             if self._tracer.enabled:
                 self._tracer.metrics.inc("entities.pairwise_runs")
-        return self._results[pair]
+        return self._results[identifier]

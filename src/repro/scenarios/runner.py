@@ -334,7 +334,7 @@ def run_cell(
         conformance = _pair_conformance(
             result, knowledge, with_completeness=with_completeness
         )
-        declared = graph.pairwise_pairs(first, second)
+        declared = frozenset((e.r_key, e.s_key) for e in result.matching)
         truth = data.truth[(first, second)]
         quality = evaluate_pairs(
             f"{spec.cell_id}:{first}+{second}", declared, truth

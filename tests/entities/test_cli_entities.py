@@ -133,6 +133,27 @@ class TestEntitiesBuild:
         assert report["sound"] is True
         assert report["fingerprint"]
 
+    def test_matched_pair_declared_distinct_is_fatal(self, tmp_path, capsys):
+        # Both sources say TwinCities/Hunan is Indian; the ILFD's
+        # distinctness dual declares the matched pair distinct.
+        for name in ("R", "S"):
+            (tmp_path / f"{name}.csv").write_text(
+                "name,cuisine,speciality\nTwinCities,Indian,Hunan\n"
+            )
+        status = main(
+            [
+                "entities", "build", str(tmp_path / "e.sqlite"),
+                "--source", f"R={tmp_path / 'R.csv'}",
+                "--source", f"S={tmp_path / 'S.csv'}",
+                "--key", "R=name,cuisine",
+                "--key", "S=name,cuisine",
+                "--extended-key", "name,cuisine,speciality",
+                "--ilfd", "speciality=Hunan -> cuisine=Chinese",
+            ]
+        )
+        assert status == 2
+        assert "negative matching" in capsys.readouterr().err
+
     def test_survivorship_spec_applied(self, three_csvs, tmp_path, capsys):
         store_path = tmp_path / "e.sqlite"
         status = main(

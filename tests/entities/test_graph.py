@@ -3,6 +3,8 @@
 import pytest
 
 from repro.blocking import make_blocker
+from repro.conformance import pairwise_composition_clusters
+from repro.core.errors import ConsistencyError
 from repro.core.identifier import EntityIdentifier
 from repro.core.multiway import MultiwayIdentifier
 from repro.entities import (
@@ -139,6 +141,43 @@ class TestSoundness:
         assert set(report.by_source()) == {"Bad"}
         with pytest.raises(GraphError):
             report.raise_if_unsound()
+
+
+def contradicting(name):
+    """One tuple holding cuisine=Indian although I1 derives Chinese from Hunan."""
+    return rel(
+        ["name", "cuisine", "speciality"],
+        [("TwinCities", "Indian", "Hunan")],
+        ("name", "cuisine"),
+        name,
+    )
+
+
+class TestConsistency:
+    """MT ∩ NMT = ∅ still holds without running the pairwise pipelines."""
+
+    def test_matched_pair_declared_distinct_raises(self, example3):
+        sources = {"R": example3.r, "U": contradicting("U"), "V": contradicting("V")}
+        ilfds = list(example3.ilfds)
+        graph = IdentityGraph(sources, example3.extended_key, ilfds=ilfds)
+        with pytest.raises(ConsistencyError, match="1 pair"):
+            graph.clusters()
+        # The pairwise route refuses the same inputs.
+        with pytest.raises(ConsistencyError):
+            graph.pair_result("U", "V")
+        with pytest.raises(ConsistencyError):
+            pairwise_composition_clusters(
+                sources, example3.extended_key, ilfds=ilfds
+            )
+
+    def test_unmatched_contradiction_is_not_a_conflict(self, three_sources, example3):
+        sources = dict(three_sources, U=contradicting("U"))
+        graph = IdentityGraph(sources, example3.extended_key, ilfds=list(example3.ilfds))
+        assert graph.fingerprint() == cluster_fingerprint(
+            pairwise_composition_clusters(
+                sources, example3.extended_key, ilfds=list(example3.ilfds)
+            )
+        )
 
 
 class TestObservability:
