@@ -28,12 +28,12 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.matching_table import key_values
 from repro.entities.errors import EntityBuildError
-from repro.entities.golden import GoldenEntity, build_golden
-from repro.entities.graph import IdentityGraph
+from repro.entities.golden import build_golden
+from repro.entities.graph import GraphSoundnessReport, IdentityGraph
 from repro.entities.survivorship import SurvivorshipPolicy
 from repro.observability.tracer import NO_OP_TRACER, Tracer
 from repro.resilience.faults import (
@@ -42,8 +42,23 @@ from repro.resilience.faults import (
     FaultInjector,
 )
 from repro.store.base import MatchStore
-from repro.store.codec import encode_key, encode_row, encode_schema, encode_value
-from repro.store.entity import ENTITY_ID_PREFIX, EntityRecord, canonical_entity_id
+from repro.store.codec import (
+    EncodedRow,
+    encode_key,
+    encode_row,
+    encode_schema,
+    encode_source_row,
+    encode_value,
+)
+from repro.store.entity import (
+    ENTITY_ID_PREFIX,
+    EncodedEntity,
+    EntityRecord,
+    canonical_entity_id,
+    encode_members,
+    golden_event,
+)
+from repro.store.journal import JournalEntry, entity_entry
 
 __all__ = [
     "META_ENTITY_SOURCES",
@@ -97,18 +112,19 @@ def entities_fingerprint(records: Sequence[EntityRecord]) -> str:
     so a build and its reload fingerprint equal iff the persisted
     entities are bit-identical.
     """
-    material = json.dumps(
-        sorted(
-            [
-                record.entity_id,
-                record.ext_key,
-                encode_row(record.golden),
-                [[source, encode_key(key)] for source, key in record.members],
-            ]
-            for record in records
-        ),
-        separators=(",", ":"),
+    return _fingerprint(
+        [
+            record.entity_id,
+            record.ext_key,
+            encode_row(record.golden),
+            [[source, encode_key(key)] for source, key in record.members],
+        ]
+        for record in records
     )
+
+
+def _fingerprint(quadruples: Iterable[list]) -> str:
+    material = json.dumps(sorted(quadruples), separators=(",", ":"))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -151,6 +167,11 @@ def build_entity_store(
     fires the ``entities.persist`` site before every batch commit — the
     chaos harness's hook.  Without *batch_size* the build is the
     original single transaction.
+
+    Every persisted text is encoded once, before anything is written,
+    and both modes write it through the store's bulk methods.  A
+    member's key text is found by the extended row it came from, never
+    by value: ``1``, ``1.0`` and ``True`` are equal keys with three texts.
     """
     if log_decisions not in DECISION_LOGGING:
         raise EntityBuildError(
@@ -166,7 +187,7 @@ def build_entity_store(
 
     names = graph.source_names
     extended = graph.extended()
-    key_attrs = list(graph.extended_key.attributes)
+    key_attrs = tuple(graph.extended_key.attributes)
     attribute_order: List[str] = []
     for relation in extended.values():
         for attr in relation.schema.names:
@@ -176,41 +197,105 @@ def build_entity_store(
         name: graph.source_key_attributes(name) for name in names
     }
 
+    def logs_decision(decision) -> bool:
+        if log_decisions == "none" or decision.source is None:
+            return False
+        return log_decisions == "all" or decision.contested
+
     with tracer.span("entities.build", sources=len(names)):
         clusters = graph.clusters()
-        goldens: List[GoldenEntity] = [
-            build_golden(
-                cluster,
-                attribute_order=attribute_order,
-                source_key_attributes=source_keys,
-                policy=policy,
-                prefix=prefix,
-            )
-            for cluster in clusters
-        ]
         report = graph.verify()
+
+        rows: Dict[str, List[EncodedRow]] = {}
+        # id(extended row) → its key text; `extended` keeps every row
+        # alive, so no id is reused while this map exists.
+        key_text: Dict[int, str] = {}
+        for name in names:
+            rows[name] = [
+                encode_source_row(
+                    key_values(ext_row, source_keys[name]), raw, ext_row, key_attrs
+                )
+                for raw, ext_row in zip(graph.sources[name], extended[name])
+            ]
+            for row in rows[name]:
+                key_text[id(row.extended)] = row.key_text
 
         # The whole result is computable before anything is persisted —
         # golden ids are content-addressed and the journal is derived —
         # which is what makes batched resume trivially bit-identical:
         # the expected fingerprint is known up front and every batch is
-        # a pure slice of this list.
-        records: List[EntityRecord] = [
-            golden.to_record(_ext_key_text(key_attrs, golden.key))
-            for golden in goldens
-        ]
-        fingerprint = entities_fingerprint(records)
-        contested = sum(
-            1
-            for golden in goldens
-            for decision in golden.decisions
-            if decision.contested
-        )
-        logged = 0
+        # a pure slice of these lists.
+        entities: List[EncodedEntity] = []
+        logs: List[List[JournalEntry]] = []
+        quadruples = []
+        contested = logged = 0
+        for cluster in clusters:
+            texts = [key_text[id(row)] for _, row in cluster.members]
+            golden = build_golden(
+                cluster,
+                attribute_order=attribute_order,
+                source_key_attributes=source_keys,
+                policy=policy,
+                prefix=prefix,
+                key_texts=texts,
+            )
+            record = golden.to_record(_ext_key_text(key_attrs, golden.key))
+            golden_text = encode_row(record.golden)
+            entities.append(
+                EncodedEntity(
+                    record,
+                    golden_text,
+                    encode_members(record.members, key_texts=texts),
+                )
+            )
+            quadruples.append(
+                [
+                    record.entity_id,
+                    record.ext_key,
+                    golden_text,
+                    [[source, text] for source, text in zip(record.sources, texts)],
+                ]
+            )
+            event = golden_event(record, key_texts=texts)
+            event["key"] = record.ext_key
+            log = [
+                entity_entry(
+                    record.entity_id,
+                    rule=",".join(policy.rule_names),
+                    payload=event,
+                    timestamp=now,
+                )
+            ]
+            for decision in golden.decisions:
+                contested += decision.contested
+                if not logs_decision(decision):
+                    continue
+                log.append(
+                    entity_entry(
+                        record.entity_id,
+                        rule=decision.rule,
+                        payload={
+                            "event": "decision",
+                            "attribute": decision.attribute,
+                            "value": encode_value(decision.value),
+                            "source": decision.source,
+                            "contested": decision.contested,
+                            "considered": [
+                                [source, encode_value(value)]
+                                for source, value in decision.considered
+                            ],
+                        },
+                        timestamp=now,
+                    )
+                )
+            logged += len(log) - 1
+            logs.append(log)
+        fingerprint = _fingerprint(quadruples)
+        violations = _violation_log(report, entities, key_attrs, prefix, now)
 
-        def persist_setup() -> None:
+        def write_setup() -> None:
             store.set_sides(names)
-            store.set_extended_key_attributes(tuple(key_attrs))
+            store.set_extended_key_attributes(key_attrs)
             store.set_meta(META_ENTITY_SOURCES, json.dumps(list(names)))
             store.set_meta(META_ENTITY_PREFIX, prefix)
             store.set_meta(
@@ -224,113 +309,47 @@ def build_entity_store(
                 store.set_meta(
                     META_ENTITY_KEY + name, json.dumps(list(source_keys[name]))
                 )
-                for raw, ext_row in zip(graph.sources[name], extended[name]):
-                    store.put_row(
-                        name, key_values(ext_row, source_keys[name]), raw, ext_row
-                    )
+                store.put_rows(name, rows[name])
 
-        def persist_entity(golden: GoldenEntity, record: EntityRecord) -> int:
-            store.record_entity(
-                record,
-                rule=",".join(policy.rule_names),
-                payload={"key": record.ext_key},
-                timestamp=now,
-            )
-            count = 0
-            for decision in golden.decisions:
-                if log_decisions == "none" or decision.source is None:
-                    continue
-                if log_decisions == "contested" and not decision.contested:
-                    continue
-                store.record_entity_decision(
-                    golden.entity_id,
-                    rule=decision.rule,
-                    payload={
-                        "event": "decision",
-                        "attribute": decision.attribute,
-                        "value": encode_value(decision.value),
-                        "source": decision.source,
-                        "contested": decision.contested,
-                        "considered": [
-                            [source, encode_value(value)]
-                            for source, value in decision.considered
-                        ],
-                    },
-                    timestamp=now,
-                )
-                count += 1
-            return count
-
-        def count_logged(golden: GoldenEntity) -> int:
-            return sum(
-                1
-                for decision in golden.decisions
-                if decision.source is not None
-                and log_decisions != "none"
-                and (log_decisions != "contested" or decision.contested)
+        def write_slice(lo: int, hi: int) -> None:
+            store.record_entities(
+                entities[lo:hi], [entry for log in logs[lo:hi] for entry in log]
             )
 
-        def persist_violations() -> None:
-            ext_text_to_id = {record.ext_key: record.entity_id for record in records}
-            for violation in report.violations:
-                ext_text = _ext_key_text(key_attrs, violation.key)
-                entity_id = ext_text_to_id.get(
-                    ext_text,
-                    # No cluster spans ≥2 sources here: mint a stable id
-                    # from the offending members so the log still has a
-                    # durable handle for the breach.
-                    canonical_entity_id(
-                        [(violation.source, key) for key in violation.members],
-                        prefix=prefix,
-                    ),
-                )
-                store.record_entity_decision(
-                    entity_id,
-                    rule="uniqueness",
-                    payload={
-                        "event": "violation",
-                        "source": violation.source,
-                        "count": len(violation.members),
-                        "key": ext_text,
-                        "members": [encode_key(key) for key in violation.members],
-                    },
-                    timestamp=now,
-                )
+        def write_seal() -> None:
+            store.record_entities((), violations)
+            store.set_meta(META_ENTITY_FINGERPRINT, fingerprint)
 
         if batch_size is None:
             injector.fire(SITE_ENTITY_PERSIST)
             with store.transaction():
-                persist_setup()
-                for golden, record in zip(goldens, records):
-                    logged += persist_entity(golden, record)
-                persist_violations()
-                store.set_meta(META_ENTITY_FINGERPRINT, fingerprint)
+                write_setup()
+                write_slice(0, len(entities))
+                write_seal()
         else:
-            logged = _persist_batched(
+            _persist_batched(
                 store,
-                goldens,
-                records,
+                len(entities),
                 fingerprint=fingerprint,
                 batch_size=batch_size,
                 resume=resume,
-                persist_setup=persist_setup,
-                persist_entity=persist_entity,
-                persist_violations=persist_violations,
-                count_logged=count_logged,
+                write_setup=write_setup,
+                write_slice=write_slice,
+                write_seal=write_seal,
                 injector=injector,
                 tracer=tracer,
             )
 
     if tracer.enabled:
-        tracer.metrics.inc("entities.golden_built", len(records))
+        tracer.metrics.inc("entities.golden_built", len(entities))
         tracer.metrics.inc("entities.decisions_logged", logged)
         if contested:
             tracer.metrics.inc("entities.contested", contested)
 
     return BuildReport(
         sources=names,
-        entities=len(records),
-        members=sum(len(record.members) for record in records),
+        entities=len(entities),
+        members=sum(len(entity.record.members) for entity in entities),
         violations=len(report.violations),
         contested=contested,
         decisions_logged=logged,
@@ -339,22 +358,59 @@ def build_entity_store(
     )
 
 
+def _violation_log(
+    report: GraphSoundnessReport,
+    entities: Sequence[EncodedEntity],
+    key_attrs: Sequence[str],
+    prefix: str,
+    now: float,
+) -> List[JournalEntry]:
+    """One ``violation`` event per generalized-uniqueness breach."""
+    ext_text_to_id = {entity.record.ext_key: entity.record.entity_id for entity in entities}
+    log = []
+    for violation in report.violations:
+        ext_text = _ext_key_text(key_attrs, violation.key)
+        entity_id = ext_text_to_id.get(
+            ext_text,
+            # No cluster spans ≥2 sources here: mint a stable id from
+            # the offending members so the log still has a durable
+            # handle for the breach.
+            canonical_entity_id(
+                [(violation.source, key) for key in violation.members],
+                prefix=prefix,
+            ),
+        )
+        log.append(
+            entity_entry(
+                entity_id,
+                rule="uniqueness",
+                payload={
+                    "event": "violation",
+                    "source": violation.source,
+                    "count": len(violation.members),
+                    "key": ext_text,
+                    "members": [encode_key(key) for key in violation.members],
+                },
+                timestamp=now,
+            )
+        )
+    return log
+
+
 def _persist_batched(
     store: MatchStore,
-    goldens: Sequence[GoldenEntity],
-    records: Sequence[EntityRecord],
+    total: int,
     *,
     fingerprint: str,
     batch_size: int,
     resume: bool,
-    persist_setup,
-    persist_entity,
-    persist_violations,
-    count_logged,
+    write_setup: Callable[[], None],
+    write_slice: Callable[[int, int], None],
+    write_seal: Callable[[], None],
     injector: FaultInjector,
     tracer: Tracer,
-) -> int:
-    """Crash-safe batched persist; returns the decisions-logged count.
+) -> None:
+    """Crash-safe batched persist of *total* entities.
 
     Invariant: every transaction that lands a batch of entities also
     lands the progress record saying so, so after *any* interruption the
@@ -362,7 +418,6 @@ def _persist_batched(
     nothing of a torn one — the property that makes resume reach the
     bit-identical fingerprint (``tests/entities/test_resume.py``).
     """
-    total = len(records)
     start = 0
     progress_text = store.get_meta(META_ENTITY_PROGRESS, "") or ""
     if progress_text:
@@ -393,31 +448,23 @@ def _persist_batched(
     if not progress_text:
         injector.fire(SITE_ENTITY_PERSIST)
         with store.transaction():
-            persist_setup()
+            write_setup()
             # Unsealed while building: verify refuses the store until
             # the final batch reseals it.
             store.set_meta(META_ENTITY_FINGERPRINT, "")
             store.set_meta(META_ENTITY_PROGRESS, progress(0))
 
-    # The interrupted run already journaled the committed prefix's
-    # decisions; count them (don't re-write) so the report describes
-    # the complete build either way.
-    logged = sum(count_logged(golden) for golden in goldens[:start])
-
     for lo in range(start, total, batch_size):
         hi = min(lo + batch_size, total)
         injector.fire(SITE_ENTITY_PERSIST)
         with store.transaction():
-            for golden, record in zip(goldens[lo:hi], records[lo:hi]):
-                logged += persist_entity(golden, record)
+            write_slice(lo, hi)
             store.set_meta(META_ENTITY_PROGRESS, progress(hi))
 
     injector.fire(SITE_ENTITY_PERSIST)
     with store.transaction():
-        persist_violations()
-        store.set_meta(META_ENTITY_FINGERPRINT, fingerprint)
+        write_seal()
         store.set_meta(META_ENTITY_PROGRESS, "")
-    return logged
 
 
 def load_entities(store: MatchStore) -> List[EntityRecord]:

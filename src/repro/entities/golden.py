@@ -11,7 +11,7 @@ so the persisted resolution log can explain each golden value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.matching_table import key_values
 from repro.core.multiway import EntityCluster
@@ -65,6 +65,7 @@ def build_golden(
     source_key_attributes: Mapping[str, Tuple[str, ...]],
     policy: SurvivorshipPolicy,
     prefix: str = ENTITY_ID_PREFIX,
+    key_texts: Optional[Sequence[str]] = None,
 ) -> GoldenEntity:
     """Merge one cluster into its golden entity.
 
@@ -72,13 +73,15 @@ def build_golden(
     the extended schemas in declaration order); *source_key_attributes*
     maps each source to its primary-key attributes so member identities
     — and through them the canonical entity id — are key-based, not
-    row-content-based.
+    row-content-based.  *key_texts*, aligned with the cluster's members,
+    are their already-encoded key texts (see
+    :func:`~repro.store.entity.canonical_entity_id`).
     """
     members = tuple(
         (source, key_values(row, source_key_attributes[source]))
         for source, row in cluster.members
     )
-    entity_id = canonical_entity_id(members, prefix=prefix)
+    entity_id = canonical_entity_id(members, prefix=prefix, key_texts=key_texts)
 
     candidates_by_attr: Dict[str, List[Candidate]] = {}
     for (source, row), (_, member_key) in zip(cluster.members, members):

@@ -135,11 +135,11 @@ class IdentityGraph:
         priority used for cluster member order and survivorship.
     extended_key / ilfds / policy:
         As for :class:`~repro.core.identifier.EntityIdentifier`.
-    blocker_factory / workers:
+    blocker_factory:
         A zero-argument callable returning a fresh
         :class:`~repro.blocking.Blocker` (one instance must not be shared
-        across runs), and a worker count, for the on-demand pairwise runs
-        of :meth:`pair_identifier` only; clusters never depend on them.
+        across runs) for the on-demand pairwise runs of
+        :meth:`pair_identifier` only; clusters never depend on it.
     tracer:
         Optional tracer, threaded through the multiway construction and
         every pairwise pipeline; the graph adds ``entities.*`` metrics.
@@ -153,7 +153,6 @@ class IdentityGraph:
         ilfds: "ILFDSet | Iterable[ILFD]" = (),
         policy: DerivationPolicy = DerivationPolicy.FIRST_MATCH,
         blocker_factory: Optional[Callable[[], Optional[Blocker]]] = None,
-        workers: int = 1,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if len(sources) < 2:
@@ -163,7 +162,6 @@ class IdentityGraph:
         self._ilfds = ilfds if isinstance(ilfds, ILFDSet) else ILFDSet(ilfds)
         self._policy = policy
         self._blocker_factory = blocker_factory
-        self._workers = workers
         self._tracer = tracer if tracer is not None else NO_OP_TRACER
         self._multiway = MultiwayIdentifier(
             self._sources,
@@ -308,7 +306,7 @@ class IdentityGraph:
         """The (cached) pairwise pipeline for one source pair.
 
         Only callers wanting a pair's NMT and undetermined counts need it;
-        clusters never run it.  Uses *blocker_factory* and *workers*.
+        clusters never run it.  Uses *blocker_factory*.
         """
         self._check_pair(first, second)
         if (second, first) in self._identifiers:
@@ -324,7 +322,6 @@ class IdentityGraph:
                 policy=self._policy,
                 tracer=self._tracer,
                 blocker=blocker,
-                workers=self._workers,
             )
         return self._identifiers[pair]
 

@@ -9,7 +9,17 @@ build intermediate rows cheaply.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    ItemsView,
+    Iterator,
+    Mapping,
+    Sequence,
+    Tuple,
+    ValuesView,
+)
 
 from repro.relational.errors import AttributeError_
 from repro.relational.nulls import NULL, is_null
@@ -45,6 +55,14 @@ class Row(Mapping[str, Any]):
 
     def __len__(self) -> int:
         return len(self._values)
+
+    # The dict's own views: Mapping's generic ones call __getitem__ per
+    # item, and the store codec walks every row it persists.
+    def items(self) -> ItemsView[str, Any]:
+        return self._values.items()
+
+    def values(self) -> ValuesView[Any]:
+        return self._values.values()
 
     def __hash__(self) -> int:
         return self._hash

@@ -28,10 +28,12 @@ from typing import (
     Any,
     ContextManager,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -43,10 +45,9 @@ from repro.core.matching_table import (
     check_consistency,
 )
 from repro.observability.tracer import NO_OP_TRACER, Tracer
-from repro.relational.nulls import is_null
 from repro.relational.row import Row
-from repro.store.codec import KeyValues, encode_key
-from repro.store.entity import EntityRecord
+from repro.store.codec import EncodedRow, KeyValues, encode_extended_key
+from repro.store.entity import EncodedEntity, EntityRecord, golden_event
 from repro.store.errors import StoreError, StoreIntegrityError
 from repro.store.journal import (
     KIND_ASSERT,
@@ -57,6 +58,7 @@ from repro.store.journal import (
     KIND_ILFD,
     KIND_REMOVE,
     JournalEntry,
+    entity_entry,
     entry_checksum,
     replay_journal,
 )
@@ -158,6 +160,11 @@ class MatchStore(abc.ABC):
     def append_journal(self, entry: JournalEntry) -> JournalEntry:
         """Append *entry*, assigning its ``seq``; returns the stored entry."""
 
+    def append_journal_entries(self, entries: Iterable[JournalEntry]) -> None:
+        """Append many entries in order, assigning consecutive seqs."""
+        for entry in entries:
+            self.append_journal(entry)
+
     @abc.abstractmethod
     def journal_entries(
         self,
@@ -198,6 +205,16 @@ class MatchStore(abc.ABC):
     def put_row(self, side: str, key: KeyValues, raw: Row, extended: Row) -> None:
         """Persist one source tuple (raw and extended forms)."""
 
+    def put_rows(self, side: str, rows: Iterable[EncodedRow]) -> None:
+        """Persist many source tuples of *side*, already encoded.
+
+        Each row's ``ext_key`` must be its text under the store's
+        extended-key attributes.  Default: one :meth:`put_row` per row;
+        SqliteStore inserts the texts in one statement.
+        """
+        for row in rows:
+            self.put_row(side, row.key, row.raw, row.extended)
+
     @abc.abstractmethod
     def delete_row(self, side: str, key: KeyValues) -> bool:
         """Forget one source tuple; True iff it existed."""
@@ -209,6 +226,11 @@ class MatchStore(abc.ABC):
     @abc.abstractmethod
     def put_entity(self, record: EntityRecord) -> None:
         """Insert/replace one canonical entity (no journal write)."""
+
+    def put_entities(self, entities: Iterable[EncodedEntity]) -> None:
+        """Insert/replace many canonical entities, already encoded."""
+        for entity in entities:
+            self.put_entity(entity.record)
 
     @abc.abstractmethod
     def delete_entity(self, entity_id: str) -> bool:
@@ -409,21 +431,14 @@ class MatchStore(abc.ABC):
         :meth:`record_entity_decision`.
         """
         self.put_entity(record)
-        event = {
-            "entity_id": record.entity_id,
-            "event": "golden",
-            "members": [
-                f"{source}:{encode_key(key)}" for source, key in record.members
-            ],
-        }
+        event = golden_event(record)
         event.update(payload or {})
         self.append_journal(
-            JournalEntry(
-                seq=0,
-                timestamp=timestamp if timestamp is not None else time.time(),
-                kind=KIND_ENTITY,
+            entity_entry(
+                record.entity_id,
                 rule=rule,
                 payload=event,
+                timestamp=timestamp if timestamp is not None else time.time(),
             )
         )
         self._metric_inc("store.entity_writes")
@@ -445,21 +460,38 @@ class MatchStore(abc.ABC):
         breach (source, count).  Entries carry no pair keys, so journal
         replay and the matching-table audit are unaffected.
         """
-        event = {"entity_id": entity_id}
-        event.update(payload)
         self.append_journal(
-            JournalEntry(
-                seq=0,
-                timestamp=timestamp if timestamp is not None else time.time(),
-                kind=KIND_ENTITY,
+            entity_entry(
+                entity_id,
                 rule=rule,
-                payload=event,
+                payload=payload,
+                timestamp=timestamp if timestamp is not None else time.time(),
             )
         )
         self._metric_inc("store.journal_entries")
 
+    def record_entities(
+        self, entities: Sequence[EncodedEntity], log: Sequence[JournalEntry]
+    ) -> None:
+        """Persist encoded entities and append resolution-log entries, in bulk.
+
+        The bulk form of :meth:`record_entity` and
+        :meth:`record_entity_decision`: *log* holds their entries (see
+        :func:`~repro.store.journal.entity_entry`) in journal order, and
+        the ``store.*`` counters move as if each had been recorded alone.
+        """
+        self.put_entities(entities)
+        self.append_journal_entries(log)
+        if entities:
+            self._metric_inc("store.entity_writes", len(entities))
+        if log:
+            self._metric_inc("store.journal_entries", len(log))
+
     def entity_log(self, entity_id: str) -> List[JournalEntry]:
-        """All resolution-log entries for one entity, in journal order."""
+        """All resolution-log entries for one entity, in journal order.
+
+        A scan of the whole journal; SqliteStore answers from an index.
+        """
         return [
             entry
             for entry in self.journal_entries()
@@ -537,15 +569,7 @@ class MatchStore(abc.ABC):
         attributes = self.extended_key_attributes()
         if not attributes:
             return None
-        pairs = []
-        for attribute in sorted(attributes):
-            if attribute not in extended:
-                return None
-            value = extended[attribute]
-            if is_null(value):
-                return None
-            pairs.append((attribute, value))
-        return encode_key(tuple(pairs))
+        return encode_extended_key(attributes, extended)
 
     # ------------------------------------------------------------------
     # Point lookups (the serving layer's read vocabulary)

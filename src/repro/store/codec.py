@@ -19,7 +19,7 @@ mapping that itself carries a ``"~"`` key.
 from __future__ import annotations
 
 import json
-from typing import Any, List, Mapping, Tuple
+from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.relational.attribute import Attribute, Domain
 from repro.relational.nulls import NULL, is_null
@@ -34,6 +34,9 @@ __all__ = [
     "decode_key",
     "encode_row",
     "decode_row",
+    "encode_extended_key",
+    "EncodedRow",
+    "encode_source_row",
     "encode_schema",
     "decode_schema",
 ]
@@ -42,6 +45,11 @@ KeyValues = Tuple[Tuple[str, Any], ...]
 
 _MARKER = "~"
 _DTYPES = {"str": str, "int": int, "float": float, "bool": bool}
+
+# Built once: ``json.dumps`` with non-default options constructs a new
+# encoder on every call, and keys and rows are encoded per stored tuple.
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ROW_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 
 def encode_value(value: Any) -> Any:
@@ -90,7 +98,7 @@ def encode_key(key: KeyValues) -> str:
         ]
     except (TypeError, ValueError) as exc:
         raise StoreCodecError(f"malformed key {key!r}: {exc}") from exc
-    return json.dumps(pairs, separators=(",", ":"), sort_keys=False)
+    return _KEY_ENCODER.encode(pairs)
 
 
 def decode_key(text: str) -> KeyValues:
@@ -104,10 +112,8 @@ def decode_key(text: str) -> KeyValues:
 
 def encode_row(row: Mapping[str, Any]) -> str:
     """A row as canonical JSON text (attributes sorted, NULL-aware)."""
-    return json.dumps(
-        {name: encode_value(value) for name, value in row.items()},
-        separators=(",", ":"),
-        sort_keys=True,
+    return _ROW_ENCODER.encode(
+        {name: encode_value(value) for name, value in row.items()}
     )
 
 
@@ -118,6 +124,72 @@ def decode_row(text: str) -> Row:
     except json.JSONDecodeError as exc:
         raise StoreCodecError(f"malformed row text {text!r}: {exc}") from exc
     return Row({name: decode_value(value) for name, value in values.items()})
+
+
+def encode_extended_key(
+    attributes: Sequence[str], extended: Mapping[str, Any]
+) -> Optional[str]:
+    """Canonical text of *extended*'s complete values on *attributes*.
+
+    The pairs are sorted by attribute, so the text is the
+    :func:`encode_key` of the extended key.  ``None`` when an attribute
+    is missing or NULL: an incomplete tuple has no extended key to be
+    found by.
+    """
+    pairs = []
+    for attribute in sorted(attributes):
+        if attribute not in extended:
+            return None
+        value = extended[attribute]
+        if is_null(value):
+            return None
+        pairs.append((attribute, value))
+    return encode_key(tuple(pairs))
+
+
+class EncodedRow(NamedTuple):
+    """One source tuple together with the texts a store persists for it."""
+
+    key: KeyValues
+    raw: Row
+    extended: Row
+    key_text: str
+    raw_text: str
+    extended_text: str
+    ext_key: Optional[str]
+
+
+def encode_source_row(
+    key: KeyValues, raw: Row, extended: Row, attributes: Sequence[str]
+) -> EncodedRow:
+    """Encode one source tuple once, for a bulk ``put_rows``.
+
+    *key* holds values taken from *extended*.  Where the key spans
+    exactly the extended-key *attributes*, its text is the extended-key
+    text too; where extension left the tuple as it was (same attributes
+    in the same order, each bound to the very same object), the
+    extended text is the raw text.  Both tests are by identity, never
+    by equality: ``1``, ``1.0`` and ``True`` compare equal but encode
+    differently.
+    """
+    key_text = encode_key(key)
+    if tuple(attribute for attribute, _ in key) == tuple(sorted(attributes)):
+        ext_key = None if any(is_null(value) for _, value in key) else key_text
+    else:
+        ext_key = encode_extended_key(attributes, extended)
+    raw_text = encode_row(raw)
+    unchanged = tuple(raw) == tuple(extended) and all(
+        new is old for new, old in zip(extended.values(), raw.values())
+    )
+    return EncodedRow(
+        key,
+        raw,
+        extended,
+        key_text,
+        raw_text,
+        raw_text if unchanged else encode_row(extended),
+        ext_key,
+    )
 
 
 def encode_schema(schema: Schema) -> str:

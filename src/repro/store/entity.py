@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.relational.row import Row
 from repro.store.codec import KeyValues, decode_key, decode_row, encode_key, encode_row
@@ -28,9 +28,11 @@ from repro.store.errors import StoreCodecError
 __all__ = [
     "ENTITY_ID_PREFIX",
     "EntityRecord",
+    "EncodedEntity",
     "canonical_entity_id",
     "encode_members",
     "decode_members",
+    "golden_event",
 ]
 
 ENTITY_ID_PREFIX = "ent-"
@@ -38,31 +40,45 @@ ENTITY_ID_PREFIX = "ent-"
 
 Member = Tuple[str, KeyValues]
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _member_pairs(
+    members: Iterable[Member], key_texts: Optional[Sequence[str]]
+) -> List[List[str]]:
+    """``[source, key text]`` per member, reusing *key_texts* when given."""
+    if key_texts is None:
+        return [[source, encode_key(key)] for source, key in members]
+    return [[source, text] for (source, _), text in zip(members, key_texts)]
+
 
 def canonical_entity_id(
-    members: Iterable[Member], *, prefix: str = ENTITY_ID_PREFIX
+    members: Iterable[Member],
+    *,
+    prefix: str = ENTITY_ID_PREFIX,
+    key_texts: Optional[Sequence[str]] = None,
 ) -> str:
     """Deterministic id for the cluster with these members.
 
     Hashes the **sorted** ``(source, canonical key text)`` pairs, so the
     id is independent of member order, run order, and resume history —
     two builds over the same sources always mint the same id for the
-    same real-world entity.
+    same real-world entity.  *key_texts*, aligned with *members*, are
+    their :func:`encode_key` texts when the caller already has them.
     """
-    material = json.dumps(
-        sorted([source, encode_key(key)] for source, key in members),
-        separators=(",", ":"),
-    )
+    material = _COMPACT.encode(sorted(_member_pairs(members, key_texts)))
     digest = hashlib.sha256(material.encode("utf-8")).hexdigest()
     return f"{prefix}{digest[:16]}"
 
 
-def encode_members(members: Iterable[Member]) -> str:
-    """Members as canonical JSON text (order preserved)."""
-    return json.dumps(
-        [[source, encode_key(key)] for source, key in members],
-        separators=(",", ":"),
-    )
+def encode_members(
+    members: Iterable[Member], *, key_texts: Optional[Sequence[str]] = None
+) -> str:
+    """Members as canonical JSON text (order preserved).
+
+    *key_texts* as for :func:`canonical_entity_id`.
+    """
+    return _COMPACT.encode(_member_pairs(members, key_texts))
 
 
 def decode_members(text: str) -> Tuple[Member, ...]:
@@ -111,20 +127,42 @@ class EntityRecord:
         return len(self.members)
 
 
-def encode_entity(record: EntityRecord) -> Tuple[str, Optional[str], str, str]:
-    """The record as its four storage columns."""
-    return (
-        record.entity_id,
-        record.ext_key,
-        encode_row(record.golden),
-        encode_members(record.members),
+class EncodedEntity(NamedTuple):
+    """One canonical entity with the column texts a bulk write persists."""
+
+    record: EntityRecord
+    golden_text: str
+    members_text: str
+
+
+def golden_event(
+    record: EntityRecord, *, key_texts: Optional[Sequence[str]] = None
+) -> Dict[str, Any]:
+    """Payload of the ``golden`` event that heads *record*'s resolution log.
+
+    Names every member as ``source:key text``; *key_texts* as for
+    :func:`canonical_entity_id`.
+    """
+    return {
+        "event": "golden",
+        "members": [
+            f"{source}:{text}"
+            for source, text in _member_pairs(record.members, key_texts)
+        ],
+    }
+
+
+def encode_entity(record: EntityRecord) -> EncodedEntity:
+    """The record with its golden-row and members column texts."""
+    return EncodedEntity(
+        record, encode_row(record.golden), encode_members(record.members)
     )
 
 
 def decode_entity(
     entity_id: str, ext_key: Optional[str], golden: str, members: str
 ) -> EntityRecord:
-    """Inverse of :func:`encode_entity`."""
+    """Inverse of :func:`encode_entity`, from the four stored columns."""
     return EntityRecord(
         entity_id=entity_id,
         ext_key=ext_key,

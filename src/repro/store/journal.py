@@ -31,7 +31,9 @@ __all__ = [
     "KIND_ENTITY",
     "JOURNAL_KINDS",
     "JournalEntry",
+    "entity_entry",
     "entry_checksum",
+    "journal_row",
     "replay_journal",
     "explain_pair",
     "explain_entity",
@@ -130,6 +132,57 @@ class JournalEntry:
         return r_key is not None or s_key is not None
 
 
+def entity_entry(
+    entity_id: str, *, rule: str, payload: Mapping[str, Any], timestamp: float
+) -> JournalEntry:
+    """One :data:`KIND_ENTITY` entry: *payload* tagged with *entity_id*."""
+    event = {"entity_id": entity_id}
+    event.update(payload)
+    return JournalEntry(
+        seq=0, timestamp=timestamp, kind=KIND_ENTITY, rule=rule, payload=event
+    )
+
+
+# One encoder walk yields both texts a journal row needs.  With
+# ``ensure_ascii`` every control character inside a string is escaped,
+# so the placeholder separators \x01 (between items) and \x00 (after
+# keys) occur only between tokens, and swapping them gives the stored
+# payload's ", "/": " and the checksum material's ","/":" exactly.
+_MARKED = json.JSONEncoder(sort_keys=True, separators=("\x01", "\x00"))
+
+JournalRow = Tuple[float, str, str, Optional[str], Optional[str], str, str]
+
+
+def journal_row(entry: JournalEntry) -> JournalRow:
+    """*entry* as its stored columns, each part encoded once.
+
+    ``(ts, kind, rule, r_key text, s_key text, payload text, checksum)``
+    — the one encoder behind every journal write of the SQLite store,
+    single or bulk, and behind :func:`entry_checksum`.  The payload is
+    stored with ``sort_keys`` and the default separators; the checksum
+    hashes the compact form of ``[repr(ts), kind, rule, r_key text,
+    s_key text, payload]``.
+    """
+    r_text = encode_key(entry.r_key) if entry.r_key is not None else None
+    s_text = encode_key(entry.s_key) if entry.s_key is not None else None
+    marked = _MARKED.encode(
+        [repr(entry.timestamp), entry.kind, entry.rule, r_text, s_text,
+         dict(entry.payload)]
+    )
+    # The first five items are strings or null: none holds a separator.
+    payload = marked[1:-1].split("\x01", 5)[5]
+    material = marked.replace("\x01", ",").replace("\x00", ":")
+    return (
+        entry.timestamp,
+        entry.kind,
+        entry.rule,
+        r_text,
+        s_text,
+        payload.replace("\x01", ", ").replace("\x00", ": "),
+        hashlib.sha256(material.encode("utf-8")).hexdigest()[:32],
+    )
+
+
 def entry_checksum(entry: JournalEntry) -> str:
     """Content checksum of one journal entry (hex SHA-256, truncated).
 
@@ -142,19 +195,7 @@ def entry_checksum(entry: JournalEntry) -> str:
     :meth:`~repro.store.base.MatchStore.verify_journal`, it turns silent
     bit-rot in a persisted journal into a detected integrity failure.
     """
-    material = json.dumps(
-        [
-            repr(entry.timestamp),
-            entry.kind,
-            entry.rule,
-            encode_key(entry.r_key) if entry.r_key is not None else None,
-            encode_key(entry.s_key) if entry.s_key is not None else None,
-            dict(entry.payload),
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()[:32]
+    return journal_row(entry)[6]
 
 
 def replay_journal(

@@ -22,7 +22,10 @@ the extended-key attributes (:meth:`MatchStore.set_extended_key_attributes`),
 every persisted source row also carries the canonical encoding of its
 complete extended-key values in the ``ext_key`` column, covered by the
 ``source_rows_ext`` index — the ``resolve(source, key)`` and
-search-before-insert lookups are index-only scans.
+search-before-insert lookups are index-only scans.  Entity-resolution
+journal entries carry their id in the ``entity_id`` column (index
+``journal_entity``), so :meth:`SqliteStore.entity_log` never scans the
+journal.  The bulk writes insert pre-encoded texts with ``executemany``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import os
 import sqlite3
 from dataclasses import replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.observability.tracer import Tracer
 from repro.relational.row import Row
@@ -46,15 +49,21 @@ from repro.store.base import (
     Pair,
 )
 from repro.store.codec import (
+    EncodedRow,
     KeyValues,
     decode_key,
     decode_row,
     encode_key,
     encode_row,
 )
-from repro.store.entity import EntityRecord, decode_entity, encode_entity
+from repro.store.entity import (
+    EncodedEntity,
+    EntityRecord,
+    decode_entity,
+    encode_entity,
+)
 from repro.store.errors import StoreError, StoreIntegrityError
-from repro.store.journal import JournalEntry, entry_checksum
+from repro.store.journal import KIND_ENTITY, JournalEntry, journal_row
 
 __all__ = ["SqliteStore"]
 
@@ -85,7 +94,8 @@ CREATE TABLE IF NOT EXISTS journal (
     r_key    TEXT,
     s_key    TEXT,
     payload  TEXT NOT NULL DEFAULT '{}',
-    checksum TEXT NOT NULL DEFAULT ''
+    checksum TEXT NOT NULL DEFAULT '',
+    entity_id TEXT
 );
 CREATE INDEX IF NOT EXISTS journal_r_key ON journal (r_key);
 CREATE INDEX IF NOT EXISTS journal_s_key ON journal (s_key);
@@ -113,7 +123,25 @@ CREATE INDEX IF NOT EXISTS source_rows_ext
 CREATE INDEX IF NOT EXISTS matches_s_key ON matches (s_key, r_key);
 CREATE INDEX IF NOT EXISTS entities_ext
     ON entities (ext_key) WHERE ext_key IS NOT NULL;
+CREATE INDEX IF NOT EXISTS journal_entity
+    ON journal (entity_id) WHERE entity_id IS NOT NULL;
 """
+
+_INSERT_JOURNAL = (
+    "INSERT INTO journal "
+    "(ts, kind, rule, r_key, s_key, payload, checksum, entity_id) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
+)
+
+
+def _journal_columns(entry: JournalEntry) -> Tuple:
+    """:func:`journal_row` plus the indexed entity id of entity entries."""
+    entity_id = (
+        entry.payload.get("entity_id") if entry.kind == KIND_ENTITY else None
+    )
+    return journal_row(entry) + (
+        entity_id if isinstance(entity_id, str) else None,
+    )
 
 
 class SqliteStore(MatchStore):
@@ -196,12 +224,17 @@ class SqliteStore(MatchStore):
                 # that the file really is an initialised store.
                 self._conn.execute("PRAGMA query_only=ON")
                 self._conn.execute("SELECT 1 FROM meta LIMIT 1")
+                # A file from before the journal's entity_id column
+                # answers entity_log by scanning instead.
+                self._journal_entity_ids = "entity_id" in self._columns("journal")
             else:
                 self._apply_pragmas()
                 self._conn.executescript(_SCHEMA)
                 self._migrate_journal_checksums()
                 self._migrate_source_ext_key()
+                self._migrate_journal_entity_id()
                 self._conn.executescript(_SCHEMA_INDEXES)
+                self._journal_entity_ids = True
         except sqlite3.DatabaseError as exc:
             self._conn.close()
             self._closed = True
@@ -230,17 +263,21 @@ class SqliteStore(MatchStore):
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
 
+    def _columns(self, table: str) -> set:
+        return {
+            record[1]
+            for record in self._conn.execute(
+                f"PRAGMA table_info({table})"  # noqa: S608 - fixed names
+            )
+        }
+
     def _migrate_journal_checksums(self) -> None:
         """Add the checksum column to journals from before checksumming.
 
         Legacy entries keep an empty checksum (verified as *unknown*);
         everything appended from now on is content-checksummed.
         """
-        columns = {
-            record[1]
-            for record in self._conn.execute("PRAGMA table_info(journal)")
-        }
-        if "checksum" not in columns:
+        if "checksum" not in self._columns("journal"):
             self._conn.execute(
                 "ALTER TABLE journal ADD COLUMN checksum TEXT NOT NULL DEFAULT ''"
             )
@@ -251,12 +288,38 @@ class SqliteStore(MatchStore):
         Legacy rows keep ``ext_key`` NULL (invisible to the partial
         index) until :meth:`reindex_extended_keys` backfills them.
         """
-        columns = {
-            record[1]
-            for record in self._conn.execute("PRAGMA table_info(source_rows)")
-        }
-        if "ext_key" not in columns:
+        if "ext_key" not in self._columns("source_rows"):
             self._conn.execute("ALTER TABLE source_rows ADD COLUMN ext_key TEXT")
+
+    def _migrate_journal_entity_id(self) -> None:
+        """Add and backfill the journal's entity_id lookup column.
+
+        Entity entries journaled before the column get their id from the
+        payload (decoded in Python, so any payload the store ever wrote
+        backfills), one transaction for the whole migration.
+        """
+        if "entity_id" in self._columns("journal"):
+            return
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            self._conn.execute("ALTER TABLE journal ADD COLUMN entity_id TEXT")
+            updates = []
+            for seq, payload in self._conn.execute(
+                "SELECT seq, payload FROM journal WHERE kind = ?", (KIND_ENTITY,)
+            ).fetchall():
+                try:
+                    entity_id = json.loads(payload).get("entity_id")
+                except (ValueError, AttributeError):
+                    continue  # unreadable either way; verify_journal reports it
+                if isinstance(entity_id, str):
+                    updates.append((entity_id, seq))
+            self._conn.executemany(
+                "UPDATE journal SET entity_id = ? WHERE seq = ?", updates
+            )
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._conn.execute("COMMIT")
 
     @property
     def path(self) -> str:
@@ -337,20 +400,11 @@ class SqliteStore(MatchStore):
         return self._has("non_matches", r_key, s_key)
 
     def append_journal(self, entry: JournalEntry) -> JournalEntry:
-        cursor = self._conn.execute(
-            "INSERT INTO journal (ts, kind, rule, r_key, s_key, payload, checksum) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                entry.timestamp,
-                entry.kind,
-                entry.rule,
-                encode_key(entry.r_key) if entry.r_key is not None else None,
-                encode_key(entry.s_key) if entry.s_key is not None else None,
-                json.dumps(dict(entry.payload), sort_keys=True),
-                entry_checksum(entry),
-            ),
-        )
+        cursor = self._conn.execute(_INSERT_JOURNAL, _journal_columns(entry))
         return replace(entry, seq=int(cursor.lastrowid))
+
+    def append_journal_entries(self, entries: Iterable[JournalEntry]) -> None:
+        self._conn.executemany(_INSERT_JOURNAL, map(_journal_columns, entries))
 
     def _journal_checksums(self) -> dict:
         cursor = self._conn.execute("SELECT seq, checksum FROM journal")
@@ -431,6 +485,17 @@ class SqliteStore(MatchStore):
             ),
         )
 
+    def put_rows(self, side: str, rows: Iterable[EncodedRow]) -> None:
+        side = self._check_side(side)
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO source_rows "
+            "(side, key, raw, extended, ext_key) VALUES (?, ?, ?, ?, ?)",
+            (
+                (side, row.key_text, row.raw_text, row.extended_text, row.ext_key)
+                for row in rows
+            ),
+        )
+
     def delete_row(self, side: str, key: KeyValues) -> bool:
         cursor = self._conn.execute(
             "DELETE FROM source_rows WHERE side = ? AND key = ?",
@@ -487,11 +552,32 @@ class SqliteStore(MatchStore):
         ]
 
     def put_entity(self, record: EntityRecord) -> None:
-        self._conn.execute(
+        self.put_entities([encode_entity(record)])
+
+    def put_entities(self, entities: Iterable[EncodedEntity]) -> None:
+        self._conn.executemany(
             "INSERT OR REPLACE INTO entities "
             "(entity_id, ext_key, golden, members) VALUES (?, ?, ?, ?)",
-            encode_entity(record),
+            (
+                (
+                    entity.record.entity_id,
+                    entity.record.ext_key,
+                    entity.golden_text,
+                    entity.members_text,
+                )
+                for entity in entities
+            ),
         )
+
+    def entity_log(self, entity_id: str) -> List[JournalEntry]:
+        if not self._journal_entity_ids:
+            return super().entity_log(entity_id)
+        cursor = self._conn.execute(
+            "SELECT seq, ts, kind, rule, r_key, s_key, payload FROM journal "
+            "WHERE entity_id = ? ORDER BY seq",
+            (entity_id,),
+        )
+        return [self._entry_from_record(record) for record in cursor.fetchall()]
 
     def delete_entity(self, entity_id: str) -> bool:
         cursor = self._conn.execute(

@@ -79,7 +79,6 @@ class TestMultiwayEquivalence:
             example3.extended_key,
             ilfds=list(example3.ilfds),
             blocker_factory=lambda: make_blocker("hash"),
-            workers=2,
         )
         assert blocked.fingerprint() == graph.fingerprint()
 
